@@ -17,7 +17,8 @@ MODE_RANDOM = "seeded-random-allocation"
 MODE_DOUBLE = "double-hashing"
 _MODES = (MODE_RANDOM, MODE_DOUBLE)
 
-_CHUNKS_PER_BLOCK = 8
+_UNPACK_8Q = struct.Struct("<8Q").unpack
+_UNPACK_2Q = struct.Struct("<2Q").unpack
 
 
 def element_to_bytes(element) -> bytes:
@@ -25,14 +26,14 @@ def element_to_bytes(element) -> bytes:
 
     Type-tagged so e.g. the int 5 and the bytes b"5" never collide.
     """
-    if isinstance(element, bytes):
-        return b"b" + element
-    if isinstance(element, str):
-        return b"s" + element.encode("utf-8")
     if isinstance(element, int):
         if 0 <= element <= MASK64:
             return b"i" + element.to_bytes(8, "little")
         return b"I" + str(element).encode("ascii")
+    if isinstance(element, str):
+        return b"s" + element.encode("utf-8")
+    if isinstance(element, bytes):
+        return b"b" + element
     raise TypeError(f"unsupported element type: {type(element).__name__}")
 
 
@@ -144,7 +145,7 @@ class HashFamily:
     all positions from two base hashes, the usual cheap alternative.
     """
 
-    __slots__ = ("count", "range_size", "mode", "seed", "distinct", "_key")
+    __slots__ = ("count", "range_size", "mode", "seed", "distinct", "_key", "_hasher")
 
     def __init__(self, count: int, range_size: int, *, mode: str = MODE_RANDOM,
                  seed: int = 0, distinct: bool = False):
@@ -156,6 +157,8 @@ class HashFamily:
             raise ValueError(f"unknown mode {mode!r}")
         if distinct and count > range_size:
             raise ValueError(f"cannot draw {count} distinct positions from {range_size}")
+        if distinct and mode == MODE_DOUBLE:
+            raise ValueError("distinct positions are not available in double-hashing mode")
         self.count = count
         self.range_size = range_size
         self.mode = mode
@@ -163,57 +166,61 @@ class HashFamily:
         self.distinct = distinct
         flags = _MODES.index(mode) | (distinct << 1)
         self._key = struct.pack("<QQQB", self.seed, count, range_size, flags)
-
-    def _chunks(self, data: bytes, needed: int):
-        """Yield unbounded 64-bit chunks of the element's keyed hash stream."""
-        block = 0
-        produced = 0
-        while produced < needed:
-            digest = blake2b(data + block.to_bytes(4, "little"),
-                             key=self._key, digest_size=64).digest()
-            for value in struct.unpack("<8Q", digest):
-                yield value
-                produced += 1
-                if produced == needed:
-                    return
-            block += 1
+        # keyed once; each digest copies it, skipping the key block's compression
+        self._hasher = blake2b(key=self._key,
+                               digest_size=16 if mode == MODE_DOUBLE else 64)
 
     def positions(self, element) -> list[int]:
         """Hash positions of the element, one per function, order fixed."""
-        if self.count == 0:
-            return []
-        data = element_to_bytes(element)
-        size = self.range_size
-        if self.mode == MODE_DOUBLE:
-            digest = blake2b(data, key=self._key, digest_size=16).digest()
-            h1, h2 = struct.unpack("<QQ", digest)
-            a = h1 % size
-            b = h2 % size or 1
-            return [(a + i * b) % size for i in range(self.count)]
-        if not self.distinct:
-            return [c % size for c in self._chunks(data, self.count)]
-        # distinct draws: walk the stream, keep first `count` unseen values
         out: list[int] = []
-        seen = set()
-        block = 0
-        while len(out) < self.count:
-            digest = blake2b(data + block.to_bytes(4, "little"),
-                             key=self._key, digest_size=64).digest()
-            for c in struct.unpack("<8Q", digest):
-                pos = c % size
-                if pos not in seen:
-                    seen.add(pos)
-                    out.append(pos)
-                    if len(out) == self.count:
-                        break
-            block += 1
+        self.encoded_mask(element_to_bytes(element), out)
         return out
 
     def element_mask(self, element) -> int:
         """The element's bits as an int, the form the filters compare against."""
+        return self.encoded_mask(element_to_bytes(element))
+
+    def encoded_mask(self, data: bytes, out: list | None = None) -> int:
+        """element_mask of an element already encoded by element_to_bytes.
+
+        The one hash-stream walker. Random mode reads 64-bit chunks of the
+        digests of data + u32 block number, blocks 0, 1, ..., until count
+        positions are taken (with distinct, skipping positions already set).
+        A list given as out receives the positions in order, duplicates kept.
+        """
+        need = self.count
+        size = self.range_size
         mask = 0
-        for pos in self.positions(element):
-            mask |= 1 << pos
+        if self.mode == MODE_DOUBLE and need:
+            h = self._hasher.copy()
+            h.update(data)
+            h1, h2 = _UNPACK_2Q(h.digest())
+            a, b = h1 % size, h2 % size or 1
+            taken = [(a + i * b) % size for i in range(need)]
+            if out is not None:
+                out.extend(taken)
+            for pos in taken:
+                mask |= 1 << pos
+            return mask
+        distinct = self.distinct
+        hasher = self._hasher
+        block = 0
+        suffix = b"\0\0\0\0"
+        while need:
+            h = hasher.copy()
+            h.update(data + suffix)
+            for c in _UNPACK_8Q(h.digest()):
+                bit = 1 << c % size
+                if distinct and mask & bit:
+                    continue
+                mask |= bit
+                if out is not None:
+                    out.append(c % size)
+                need -= 1
+                if not need:
+                    return mask
+            block += 1
+            suffix = block.to_bytes(4, "little")
         return mask
 
     def __eq__(self, other) -> bool:

@@ -19,8 +19,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
 from .bitcore import MODE_RANDOM, derive_seed
 from .yesno import Classification, ConstructionReport, Sketcher, YesNoFilter, YesNoParams
@@ -118,7 +116,7 @@ class SweepConfig:
         return list(range(self.start, self.stop + 1, self.step))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     """Summary of all trials at one swept value; error set iff the derived
     geometry was invalid, in which case the statistics are None."""
@@ -189,6 +187,8 @@ def _comparison_hashes(config: SweepConfig, params: YesNoParams, value: int,
 
 def sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep; geometry errors become per-point error entries."""
+    import numpy as np  # here only: building and querying filters never need it
+
     points = []
     for index, value in enumerate(config.values()):
         try:

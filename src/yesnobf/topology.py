@@ -285,7 +285,7 @@ class PathExperiment:
         return cls(name, tuple(s_links), tuple(t_links), params, k_bf, allocations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopologyResult:
     """Per-topology outcome. ratio is yes-no FPs per classic-BF FP, None
     when the BF saw none; the raw per-allocation counts ride along for

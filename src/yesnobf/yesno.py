@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .bitcore import MODE_RANDOM, BitVector, HashFamily
+from .bitcore import MODE_RANDOM, BitVector, HashFamily, element_to_bytes
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,9 @@ class YesNoParams:
         return cls(p + q * r, p, q, r, k, k_prime, allow_false_negatives)
 
 
-@dataclass(frozen=True)
-class ElementSketch:
-    """An element's two hash patterns: p-bit yes part, q-bit no part."""
-
-    yes_part: BitVector
-    no_part: BitVector
+# An element's two hash patterns as int masks: (p-bit yes part, q-bit no
+# part). A plain tuple, so sketching allocates no wrapper objects.
+ElementSketch = tuple[int, int]
 
 
 class Sketcher:
@@ -91,10 +88,8 @@ class Sketcher:
         self.no_family = HashFamily(params.k_prime, params.q, mode=mode, seed=seed)
 
     def sketch(self, element) -> ElementSketch:
-        return ElementSketch(
-            BitVector(self.params.p, self.yes_family.element_mask(element)),
-            BitVector(self.params.q, self.no_family.element_mask(element)),
-        )
+        data = element_to_bytes(element)
+        return self.yes_family.encoded_mask(data), self.no_family.encoded_mask(data)
 
 
 def sketch(params: YesNoParams, element, seed: int = 0,
@@ -215,9 +210,9 @@ class YesNoFilter:
         """
         yes_mask = 0
         member_no_masks = []
-        for s in member_sketches:
-            yes_mask |= s.yes_part.as_int()
-            member_no_masks.append(s.no_part.as_int())
+        for y, mn in member_sketches:
+            yes_mask |= y
+            member_no_masks.append(mn)
 
         r = params.r
         no_masks = [0] * r
@@ -226,12 +221,10 @@ class YesNoFilter:
         f_count = 0
         r_count = 0
 
-        for s in candidate_sketches:
-            y = s.yes_part.as_int()
+        for y, fno in candidate_sketches:
             if y & yes_mask != y:
                 continue  # genuine negative, nothing to mitigate
             f_count += 1
-            fno = s.no_part.as_int()
             for j in range(r):
                 candidate_mask = no_masks[j] | fno
                 if guard:
@@ -267,10 +260,9 @@ class YesNoFilter:
     def query_sketch(self, s: ElementSketch) -> QueryResult:
         """Two-stage decision for an element already sketched with
         matching params and seed."""
-        y = s.yes_part.as_int()
+        y, fno = s
         if y & self._yes_mask != y:
             return QueryResult.NEGATIVE_YES_STAGE
-        fno = s.no_part.as_int()
         for nm in self._no_masks:
             if fno & nm == fno:
                 return QueryResult.NEGATIVE_NO_STAGE

@@ -1,10 +1,12 @@
 """Bit vector, hash family, and classic Bloom filter behavior."""
 
+import struct
 from fractions import Fraction
+from hashlib import blake2b
 from statistics import mean, stdev
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yesnobf.bitcore import (
@@ -125,6 +127,15 @@ def test_hash_family_distinct_mode():
         HashFamily(12, 11, distinct=True)
 
 
+def test_distinct_is_rejected_in_double_hashing_mode():
+    # an arithmetic progression repeats whenever its stride shares a factor
+    # with the range, so distinct cannot be honoured there
+    with pytest.raises(ValueError, match="double-hashing"):
+        HashFamily(5, 32, mode=MODE_DOUBLE, distinct=True)
+    with pytest.raises(ValueError, match="double-hashing"):
+        BloomFilter(32, 5, mode=MODE_DOUBLE, distinct=True)
+
+
 def test_double_hashing_mode_is_arithmetic_progression():
     fam = HashFamily(5, 97, mode=MODE_DOUBLE, seed=2)
     for element in (b"alpha", b"beta", 42):
@@ -216,6 +227,50 @@ def test_small_filter_fp_rate_matches_rational_oracle():
 
 elements = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
                      st.text(max_size=12), st.binary(max_size=12))
+
+
+def _reference_positions(count, size, seed, distinct, element):
+    """Random-mode positions from the definition, one keyed blake2b call per
+    block: the stream is the 64-byte digests of the encoded element + u32
+    block number for blocks 0, 1, ..., read as little-endian u64 chunks;
+    each chunk mod size is a position, skipped under distinct if taken."""
+    key = struct.pack("<QQQB", seed, count, size, 2 if distinct else 0)
+    if isinstance(element, bytes):
+        data = b"b" + element
+    elif isinstance(element, str):
+        data = b"s" + element.encode("utf-8")
+    elif 0 <= element < 2**64:
+        data = b"i" + element.to_bytes(8, "little")
+    else:
+        data = b"I" + str(element).encode("ascii")
+    taken = []
+    block = 0
+    while len(taken) < count:
+        digest = blake2b(data + struct.pack("<I", block), key=key,
+                         digest_size=64).digest()
+        for j in range(0, 64, 8):
+            pos = int.from_bytes(digest[j:j + 8], "little") % size
+            if len(taken) < count and not (distinct and pos in taken):
+                taken.append(pos)
+        block += 1
+    return taken
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(0, 20), size=st.integers(1, 300), distinct=st.booleans(),
+       seed=st.integers(0, 2**64 - 1),
+       element=st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
+                         st.binary(max_size=12)))
+@example(count=20, size=300, distinct=False, seed=1, element=2**70)
+@example(count=16, size=16, distinct=True, seed=3, element="link")
+@example(count=9, size=64, distinct=True, seed=0, element=b"raw")
+def test_element_mask_matches_reference_stream(count, size, distinct, seed, element):
+    if distinct and count > size:
+        count = size
+    fam = HashFamily(count, size, seed=seed, distinct=distinct)
+    expected = _reference_positions(count, size, seed, distinct, element)
+    assert fam.positions(element) == expected
+    assert fam.element_mask(element) == sum(1 << pos for pos in set(expected))
 
 
 @settings(max_examples=60, deadline=None)
