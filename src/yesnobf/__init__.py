@@ -37,8 +37,6 @@ from .yesno import (
     Sketcher,
     YesNoFilter,
     YesNoParams,
-    build,
-    sketch,
 )
 
 __all__ = [
@@ -47,8 +45,8 @@ __all__ = [
     "FilterShape", "PrResult", "bit_zero_prob", "fp_prob_exact",
     "fp_prob_approx", "pr_positive", "pr_false_positive", "pr_E",
     "pr_E_given_not_S", "f_E_single_no_filter", "expected_fp_count",
-    "YesNoParams", "ElementSketch", "Sketcher", "sketch", "QueryResult",
-    "ConstructionReport", "Classification", "YesNoFilter", "build",
+    "YesNoParams", "ElementSketch", "Sketcher", "QueryResult",
+    "ConstructionReport", "Classification", "YesNoFilter",
 ]
 
 __version__ = "0.1.0"

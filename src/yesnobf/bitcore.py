@@ -240,13 +240,13 @@ class BloomFilter:
     (bits, hashes, inserted) shape.
     """
 
-    __slots__ = ("vector", "family", "inserted_count")
+    __slots__ = ("_mask", "family", "inserted_count")
 
     def __init__(self, bits: int, hashes: int, *, seed: int = 0,
                  mode: str = MODE_RANDOM, distinct: bool = False):
         if hashes < 1:
             raise ValueError(f"hashes must be >= 1, got {hashes}")
-        self.vector = BitVector(bits)
+        self._mask = 0
         self.family = HashFamily(hashes, bits, mode=mode, seed=seed, distinct=distinct)
         self.inserted_count = 0
 
@@ -255,14 +255,19 @@ class BloomFilter:
         if family.count < 1:
             raise ValueError("a Bloom filter needs at least one hash function")
         bf = cls.__new__(cls)
-        bf.vector = BitVector(family.range_size)
+        bf._mask = 0
         bf.family = family
         bf.inserted_count = 0
         return bf
 
     @property
+    def vector(self) -> BitVector:
+        """The filter's bits; a copy, so writing to it changes nothing here."""
+        return BitVector(self.bits, self._mask)
+
+    @property
     def bits(self) -> int:
-        return self.vector.length
+        return self.family.range_size
 
     @property
     def hashes(self) -> int:
@@ -273,19 +278,19 @@ class BloomFilter:
         return BitVector(self.bits, self.family.element_mask(element))
 
     def insert(self, element) -> None:
-        self.vector._bits |= self.family.element_mask(element)
+        self._mask |= self.family.element_mask(element)
         self.inserted_count += 1
 
     def contains(self, element) -> bool:
         mask = self.family.element_mask(element)
-        return mask & self.vector._bits == mask
+        return mask & self._mask == mask
 
     def union(self, other: BloomFilter) -> BloomFilter:
         """Bitwise OR; equals inserting both element sets into one filter."""
         if self.family != other.family:
             raise ValueError("union requires identical length and hash family")
         out = BloomFilter.from_family(self.family)
-        out.vector = self.vector | other.vector
+        out._mask = self._mask | other._mask
         out.inserted_count = self.inserted_count + other.inserted_count
         return out
 
@@ -293,8 +298,8 @@ class BloomFilter:
         """Same family and same bits; insert bookkeeping is metadata."""
         if not isinstance(other, BloomFilter):
             return NotImplemented
-        return self.family == other.family and self.vector == other.vector
+        return self.family == other.family and self._mask == other._mask
 
     def __repr__(self) -> str:
         return (f"BloomFilter(bits={self.bits}, hashes={self.hashes}, "
-                f"set={self.vector.popcount()}, inserted={self.inserted_count})")
+                f"set={self._mask.bit_count()}, inserted={self.inserted_count})")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
 from .bitcore import MODE_RANDOM, derive_seed
-from .yesno import Classification, ConstructionReport, Sketcher, YesNoFilter, YesNoParams
+from .yesno import Classification, ConstructionReport, YesNoFilter, YesNoParams
 
 SWEPT_CHOICES = ("k", "k_prime", "n", "q", "r_fixed_p", "r_fixed_m")
 
@@ -51,20 +51,9 @@ def trial_outcome(params: YesNoParams, n: int, t: int, trial_seed: int,
                   ) -> tuple[ConstructionReport, Classification]:
     """One randomized build, fully classified."""
     members, candidates = draw_elements(trial_seed, n, t)
-    sk = Sketcher(params, trial_seed, mode)
-    member_pairs = [(e, sk.sketch(e)) for e in members]
-    candidate_pairs = [(e, sk.sketch(e)) for e in candidates]
-    built, report = YesNoFilter.build_from_sketches(
-        params, [s for _, s in member_pairs], [s for _, s in candidate_pairs],
-        seed=trial_seed, mode=mode)
-    return report, built.classify_sketches(member_pairs, candidate_pairs)
-
-
-def run_trial(params: YesNoParams, n: int, t: int, trial_seed: int,
-              mode: str = MODE_RANDOM) -> int:
-    """Residual false-positive count of one randomized build."""
-    _, outcome = trial_outcome(params, n, t, trial_seed, mode)
-    return outcome.fp_count
+    _, report, outcome = YesNoFilter.build_and_classify(
+        params, members, candidates, trial_seed, mode)
+    return report, outcome
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,8 @@ def sweep(config: SweepConfig) -> SweepResult:
         counts = np.empty(config.trials, dtype=np.int64)
         for trial in range(config.trials):
             trial_seed = derive_seed(config.seed, index, trial)
-            counts[trial] = run_trial(params, n, config.t, trial_seed, config.mode)
+            counts[trial] = trial_outcome(params, n, config.t, trial_seed,
+                                          config.mode)[1].fp_count
         quartiles = np.quantile(counts, (0.25, 0.5, 0.75))
         k_m = _comparison_hashes(config, params, value, n)
         points.append(SweepPoint(

@@ -19,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bitcore import MODE_RANDOM, HashFamily, derive_seed
-from .yesno import Sketcher, YesNoFilter, YesNoParams
+from .bitcore import MODE_RANDOM, BloomFilter, derive_seed
+from .yesno import YesNoFilter, YesNoParams
 
 DEFAULT_PARAMS = YesNoParams.of(p=192, q=32, r=2, k=4, k_prime=3)
 DEFAULT_K_BF = 6
@@ -312,25 +312,12 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     bf_counts = []
     for index in range(experiment.allocations):
         alloc_seed = derive_seed(seed, experiment.name, index)
-        sk = Sketcher(params, alloc_seed, mode)
-        member_sketches = [sk.sketch(e) for e in s_ids]
-        candidate_pairs = [(e, sk.sketch(e)) for e in t_ids]
-        built, _ = YesNoFilter.build_from_sketches(
-            params, member_sketches, [s for _, s in candidate_pairs],
-            seed=alloc_seed, mode=mode)
-        outcome = built.classify_sketches([], candidate_pairs)
-        yn_counts.append(outcome.fp_count)
-
-        bf_family = HashFamily(experiment.k_bf, params.m, mode=mode, seed=alloc_seed)
-        bf_mask = 0
+        yn_counts.append(YesNoFilter.build_and_classify(
+            params, s_ids, t_ids, alloc_seed, mode)[2].fp_count)
+        bf = BloomFilter(params.m, experiment.k_bf, seed=alloc_seed, mode=mode)
         for e in s_ids:
-            bf_mask |= bf_family.element_mask(e)
-        hits = 0
-        for e in t_ids:
-            mask = bf_family.element_mask(e)
-            if mask & bf_mask == mask:
-                hits += 1
-        bf_counts.append(hits)
+            bf.insert(e)
+        bf_counts.append(sum(bf.contains(e) for e in t_ids))
     fp_yesno_mean = sum(yn_counts) / experiment.allocations
     fp_bf_mean = sum(bf_counts) / experiment.allocations
     ratio = fp_yesno_mean / fp_bf_mean if fp_bf_mean > 0 else None

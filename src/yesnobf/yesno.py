@@ -92,12 +92,6 @@ class Sketcher:
         return self.yes_family.encoded_mask(data), self.no_family.encoded_mask(data)
 
 
-def sketch(params: YesNoParams, element, seed: int = 0,
-           mode: str = MODE_RANDOM) -> ElementSketch:
-    """One-off sketch; build a Sketcher when sketching many elements."""
-    return Sketcher(params, seed, mode).sketch(element)
-
-
 class QueryResult(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE_YES_STAGE = "negative_yes_stage"
@@ -178,7 +172,7 @@ class YesNoFilter:
         self.mode = mode
         self.yes_filter = yes_filter
         self.no_filters = list(no_filters)
-        self._sketcher = Sketcher(params, seed, mode)
+        self._sketcher = None  # made on first query, or handed over by a build
         self._yes_mask = yes_filter.as_int()
         self._no_masks = [nf.as_int() for nf in no_filters]
 
@@ -193,10 +187,27 @@ class YesNoFilter:
         """
         member_list, candidate_list = _check_disjoint_sets(members, candidates)
         sk = Sketcher(params, seed, mode)
-        member_sketches = [sk.sketch(e) for e in member_list]
-        candidate_sketches = [sk.sketch(e) for e in candidate_list]
-        return cls.build_from_sketches(params, member_sketches, candidate_sketches,
-                                       seed=seed, mode=mode)
+        built, report = cls.build_from_sketches(
+            params, [sk.sketch(e) for e in member_list],
+            [sk.sketch(e) for e in candidate_list], seed=seed, mode=mode)
+        built._sketcher = sk
+        return built, report
+
+    @classmethod
+    def build_and_classify(cls, params: YesNoParams, members, candidates,
+                           seed: int = 0, mode: str = MODE_RANDOM
+                           ) -> tuple[YesNoFilter, ConstructionReport, Classification]:
+        """build(), then classify() of the same two sets, sketching each
+        element once: the trial kernel of sweeps and topology experiments."""
+        member_list, candidate_list = _check_disjoint_sets(members, candidates)
+        sk = Sketcher(params, seed, mode)
+        member_pairs = [(e, sk.sketch(e)) for e in member_list]
+        candidate_pairs = [(e, sk.sketch(e)) for e in candidate_list]
+        built, report = cls.build_from_sketches(
+            params, [s for _, s in member_pairs], [s for _, s in candidate_pairs],
+            seed=seed, mode=mode)
+        built._sketcher = sk
+        return built, report, built.classify_sketches(member_pairs, candidate_pairs)
 
     @classmethod
     def build_from_sketches(cls, params: YesNoParams, member_sketches,
@@ -254,9 +265,6 @@ class YesNoFilter:
                     seed=seed, mode=mode)
         return built, report
 
-    def sketch(self, element) -> ElementSketch:
-        return self._sketcher.sketch(element)
-
     def query_sketch(self, s: ElementSketch) -> QueryResult:
         """Two-stage decision for an element already sketched with
         matching params and seed."""
@@ -269,7 +277,10 @@ class YesNoFilter:
         return QueryResult.POSITIVE
 
     def query(self, element) -> QueryResult:
-        return self.query_sketch(self._sketcher.sketch(element))
+        sk = self._sketcher
+        if sk is None:
+            sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
+        return self.query_sketch(sk.sketch(element))
 
     def contains(self, element) -> bool:
         return self.query(element) is QueryResult.POSITIVE
@@ -284,8 +295,11 @@ class YesNoFilter:
         still gets wrong.
         """
         member_list, candidate_list = _check_disjoint_sets(members, candidates)
-        member_pairs = [(e, self._sketcher.sketch(e)) for e in member_list]
-        candidate_pairs = [(e, self._sketcher.sketch(e)) for e in candidate_list]
+        sk = self._sketcher
+        if sk is None:
+            sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
+        member_pairs = [(e, sk.sketch(e)) for e in member_list]
+        candidate_pairs = [(e, sk.sketch(e)) for e in candidate_list]
         return self.classify_sketches(member_pairs, candidate_pairs)
 
     def classify_sketches(self, member_pairs, candidate_pairs) -> Classification:
@@ -335,9 +349,3 @@ class YesNoFilter:
         return (f"YesNoFilter(p={self.params.p}, q={self.params.q}, "
                 f"r={self.params.r}, k={self.params.k}, "
                 f"k_prime={self.params.k_prime}, seed={self.seed})")
-
-
-def build(params: YesNoParams, members, candidates, seed: int = 0,
-          mode: str = MODE_RANDOM) -> tuple[YesNoFilter, ConstructionReport]:
-    """Module-level alias of YesNoFilter.build."""
-    return YesNoFilter.build(params, members, candidates, seed=seed, mode=mode)

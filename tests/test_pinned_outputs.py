@@ -1,0 +1,58 @@
+"""Pinned digests of the sweep and topology CSVs.
+
+The digests were taken from the code as it stood before the trial kernel
+was shared, so any change to hashing, construction, classification or CSV
+formatting shows here. A change that alters these outputs on purpose
+updates the digest and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from yesnobf.bitcore import MODE_DOUBLE, MODE_RANDOM
+from yesnobf.corpus import default_corpus
+from yesnobf.simulate import SweepConfig, sweep
+from yesnobf.topology import (
+    PathExperiment,
+    run_topology_experiment,
+    topology_results_to_csv,
+)
+
+SWEEP_DIGESTS = {
+    ("r_fixed_m", MODE_RANDOM):
+        "c9a4b0680b60df0e8624584f1fe29aef2d79699ac7d28b7c330354954e4679f7",
+    ("r_fixed_m", MODE_DOUBLE):
+        "52e089f19ee7ead2d3375658acd7bda4a3ccd0891511c519bafd200ac2900d6c",
+    ("k", MODE_RANDOM):
+        "8020c65f0551ce4efcb392e485c3857faac1dee136706d97be24e4a888f1b6ed",
+    ("k", MODE_DOUBLE):
+        "b6c778f459e47f5f2af6e5834887ad81a0ff611d375b4655be0e92f04a5398ad",
+}
+
+TOPOLOGY_DIGESTS = {
+    MODE_RANDOM: "5a6ae78dc4bf13aa97cfa0b98b486622aa3e07e3268c1cddef6adc477d6b1e06",
+    MODE_DOUBLE: "0b143dfab76d0cc57607739f035f64cbfbaaa017249b89ec9f613ac895e03c23",
+}
+
+SWEEP_RANGES = {"r_fixed_m": (0, 6), "k": (1, 10)}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("swept, mode", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_is_pinned(swept, mode):
+    start, stop = SWEEP_RANGES[swept]
+    config = SweepConfig(swept, start, stop, trials=20, seed=11, mode=mode)
+    assert _digest(sweep(config).to_csv()) == SWEEP_DIGESTS[swept, mode]
+
+
+@pytest.mark.parametrize("mode", sorted(TOPOLOGY_DIGESTS))
+def test_topology_csv_is_pinned(mode):
+    results = [run_topology_experiment(
+                   PathExperiment.from_graph(name, graph, allocations=10),
+                   seed=13, mode=mode)
+               for name, graph in default_corpus()]
+    assert _digest(topology_results_to_csv(results)) == TOPOLOGY_DIGESTS[mode]

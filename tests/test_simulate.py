@@ -12,7 +12,6 @@ from yesnobf.simulate import (
     SweepConfig,
     draw_elements,
     optimal_hash_count,
-    run_trial,
     sweep,
     trial_outcome,
 )
@@ -52,11 +51,11 @@ def test_trial_outcome_counts_are_consistent():
         assert len(outcome.yes_stage_negatives) == 60 - report.f_count
 
 
-def test_run_trial_deterministic_and_bounded():
-    first = run_trial(SMALL, 10, 60, trial_seed=42)
-    assert run_trial(SMALL, 10, 60, trial_seed=42) == first
+def test_trial_fp_count_deterministic_and_bounded():
+    first = trial_outcome(SMALL, 10, 60, trial_seed=42)[1].fp_count
+    assert trial_outcome(SMALL, 10, 60, trial_seed=42)[1].fp_count == first
     assert 0 <= first <= 60
-    assert run_trial(SMALL, 10, 0, trial_seed=42) == 0
+    assert trial_outcome(SMALL, 10, 0, trial_seed=42)[1].fp_count == 0
 
 
 def test_zero_no_filters_trial_replays_as_classic_bloom():
@@ -69,7 +68,7 @@ def test_zero_no_filters_trial_replays_as_classic_bloom():
         for e in members:
             reference.insert(e)
         expected = sum(reference.contains(e) for e in candidates)
-        assert run_trial(params, 12, 80, trial_seed) == expected
+        assert trial_outcome(params, 12, 80, trial_seed)[1].fp_count == expected
 
 
 def test_config_validation():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from yesnobf.bitcore import MODE_DOUBLE, MODE_RANDOM, BloomFilter, derive_seed
+from yesnobf.corpus import default_corpus
 from yesnobf.topology import (
     AGGREGATE_CSV_HEADER,
     TOPOLOGY_CSV_HEADER,
@@ -246,3 +248,26 @@ def test_csv_emitters():
     agg_lines = agg_text.splitlines()
     assert agg_lines[0] == ",".join(AGGREGATE_CSV_HEADER)
     assert agg_lines[1].startswith("8,")
+
+
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
+@pytest.mark.parametrize("name", ["ring14", "grid6x6"])
+def test_classic_baseline_counts_match_a_bloom_filter(name, mode):
+    # a small m keeps the counts off zero; k_bf != k and m != p, so a
+    # baseline built with the yes-filter's shape would not match
+    params = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=2)
+    graph = dict(default_corpus())[name]
+    exp = PathExperiment.from_graph(name, graph, params=params, k_bf=4,
+                                    allocations=50)
+    res = run_topology_experiment(exp, seed=5, mode=mode)
+    s_ids = [link.id for link in exp.s_links]
+    t_ids = [link.id for link in exp.t_links]
+    expected = []
+    for index in range(exp.allocations):
+        bf = BloomFilter(exp.params.m, exp.k_bf, seed=derive_seed(5, name, index),
+                         mode=mode)
+        for e in s_ids:
+            bf.insert(e)
+        expected.append(sum(bf.contains(e) for e in t_ids))
+    assert res.bf_counts == tuple(expected)
+    assert sum(expected) > 0

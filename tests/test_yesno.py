@@ -4,14 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yesnobf.bitcore import BitVector, BloomFilter, HashFamily, is_subset
+from yesnobf.bitcore import (
+    MODE_DOUBLE,
+    MODE_RANDOM,
+    BitVector,
+    BloomFilter,
+    HashFamily,
+    is_subset,
+)
 from yesnobf.yesno import (
     QueryResult,
     Sketcher,
     YesNoFilter,
     YesNoParams,
-    build,
-    sketch,
 )
 
 FIXTURE_SEED = 0
@@ -41,17 +46,18 @@ def test_params_rejects_bad_geometry(kwargs):
 
 
 def test_pinned_sketch():
-    yes_part, no_part = sketch(FIXTURE_PARAMS, FIXTURE_ELEMENT, seed=FIXTURE_SEED)
+    yes_part, no_part = Sketcher(FIXTURE_PARAMS, seed=FIXTURE_SEED).sketch(FIXTURE_ELEMENT)
     # BitVector rejects bits beyond its length, so each part fits its filter
     assert BitVector(FIXTURE_PARAMS.p, yes_part).positions() == (1, 4, 11)
     assert BitVector(FIXTURE_PARAMS.q, no_part).positions() == (1,)
 
 
-def test_sketcher_matches_module_helper():
+def test_sketch_parts_are_the_family_masks():
     sk = Sketcher(FIXTURE_PARAMS, seed=FIXTURE_SEED)
-    direct = sk.sketch(FIXTURE_ELEMENT)
-    helper = sketch(FIXTURE_PARAMS, FIXTURE_ELEMENT, seed=FIXTURE_SEED)
-    assert direct == helper
+    p = FIXTURE_PARAMS
+    assert sk.sketch(FIXTURE_ELEMENT) == (
+        HashFamily(p.k, p.p, seed=FIXTURE_SEED).element_mask(FIXTURE_ELEMENT),
+        HashFamily(p.k_prime, p.q, seed=FIXTURE_SEED).element_mask(FIXTURE_ELEMENT))
 
 
 def _sk(p, q, yes_bits, no_bits):
@@ -134,7 +140,7 @@ def test_members_always_positive_with_guard():
     members = [f"name-{i}" for i in range(12)]
     candidates = [f"probe-{i}" for i in range(120)]
     for seed in range(10):
-        filt, report = build(params, members, candidates, seed=seed)
+        filt, report = YesNoFilter.build(params, members, candidates, seed=seed)
         assert all(filt.contains(e) for e in members)
         got = filt.classify(members, candidates)
         assert got.false_negatives == []
@@ -193,7 +199,7 @@ def test_serialization_round_trip():
     params = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3)
     members = [f"name-{i}" for i in range(12)]
     candidates = [f"probe-{i}" for i in range(60)]
-    filt, _ = build(params, members, candidates, seed=3)
+    filt, _ = YesNoFilter.build(params, members, candidates, seed=3)
     text = filt.to_bitstring()
     assert len(text) == params.m
     assert set(text) <= {"0", "1"}
@@ -256,3 +262,23 @@ def test_property_rejections_never_exceed_yes_stage_fps(members, extra, seed):
     assert len(got.no_stage_rejections) >= report.r_count
     assert got.fp_count <= report.unmitigated
     assert got.fp_count + len(got.no_stage_rejections) == report.f_count
+
+
+geometries = st.tuples(st.integers(2, 64), st.integers(1, 12), st.integers(0, 3),
+                       st.integers(1, 6), st.integers(1, 4)).filter(
+    lambda g: g[1] < g[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(geometry=geometries, members=element_sets, extra=element_sets,
+       seed=st.integers(0, 2**32 - 1), mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       guard=st.booleans())
+def test_property_build_and_classify_equals_build_then_classify(
+        geometry, members, extra, seed, mode, guard):
+    p, q, r, k, k_prime = geometry
+    params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
+    members = sorted(members)
+    candidates = sorted(extra - set(members))
+    filt, report = YesNoFilter.build(params, members, candidates, seed=seed, mode=mode)
+    expected = (filt, report, filt.classify(members, candidates))
+    assert YesNoFilter.build_and_classify(params, members, candidates, seed, mode) == expected
