@@ -108,7 +108,9 @@ class SweepConfig:
 @dataclass(frozen=True, slots=True)
 class SweepPoint:
     """Summary of all trials at one swept value; error set iff the derived
-    geometry was invalid, in which case the statistics are None."""
+    geometry was invalid, in which case the statistics are None. mean_fn,
+    the members lost per trial, is set only for sweeps that allow false
+    negatives."""
 
     swept: str
     value: int
@@ -121,6 +123,7 @@ class SweepPoint:
     max_fp: float | None = None
     baseline_bf_m: float | None = None
     baseline_bf_p: float | None = None
+    mean_fn: float | None = None
     error: str | None = None
 
 
@@ -186,10 +189,12 @@ def sweep(config: SweepConfig) -> SweepResult:
             points.append(SweepPoint(config.swept, value, error=str(exc)))
             continue
         counts = np.empty(config.trials, dtype=np.int64)
+        fn_total = 0
         for trial in range(config.trials):
             trial_seed = derive_seed(config.seed, index, trial)
-            counts[trial] = trial_outcome(params, n, config.t, trial_seed,
-                                          config.mode)[1].fp_count
+            outcome = trial_outcome(params, n, config.t, trial_seed, config.mode)[1]
+            counts[trial] = outcome.fp_count
+            fn_total += len(outcome.false_negatives)
         quartiles = np.quantile(counts, (0.25, 0.5, 0.75))
         k_m = _comparison_hashes(config, params, value, n)
         points.append(SweepPoint(
@@ -206,26 +211,29 @@ def sweep(config: SweepConfig) -> SweepResult:
                 config.t, fp_prob_exact(FilterShape(params.m, k_m, n))),
             baseline_bf_p=expected_fp_count(
                 config.t, fp_prob_exact(FilterShape(params.p, params.k, n))),
+            mean_fn=(fn_total / config.trials
+                     if config.allow_false_negatives else None),
         ))
     return SweepResult(config, tuple(points))
 
 
 def sweep_result_to_csv(result: SweepResult) -> str:
-    """Fixed-schema CSV, floats at 6 decimals; an error column is appended
-    only when some point failed, so clean sweeps keep the plain header."""
+    """Fixed-schema CSV, floats at 6 decimals. A mean_fn column is appended
+    only for sweeps that allow false negatives, and an error column only
+    when some point failed, so guarded clean sweeps keep the plain header."""
+    with_fn = result.config.allow_false_negatives
     with_errors = any(pt.error is not None for pt in result.points)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = CSV_HEADER + ("error",) if with_errors else CSV_HEADER
-    writer.writerow(header)
+    writer.writerow(CSV_HEADER + ("mean_fn",) * with_fn + ("error",) * with_errors)
     for pt in result.points:
         if pt.error is not None:
-            row = [pt.swept, pt.value] + [""] * 9 + [pt.error]
+            row = [pt.swept, pt.value] + [""] * (9 + with_fn) + [pt.error]
         else:
+            stats = (pt.mean_fp, pt.std_fp, pt.min_fp, pt.q25, pt.median,
+                     pt.q75, pt.max_fp, pt.baseline_bf_m, pt.baseline_bf_p)
             row = [pt.swept, pt.value] + [
-                f"{v:.6f}" for v in (pt.mean_fp, pt.std_fp, pt.min_fp, pt.q25,
-                                     pt.median, pt.q75, pt.max_fp,
-                                     pt.baseline_bf_m, pt.baseline_bf_p)]
+                f"{v:.6f}" for v in stats + (pt.mean_fn,) * with_fn]
             if with_errors:
                 row.append("")
         writer.writerow(row)

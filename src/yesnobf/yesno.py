@@ -228,6 +228,10 @@ class YesNoFilter:
         r = params.r
         no_masks = [0] * r
         loads = [0] * r
+        # pinned[j]: bits that are the only bit some member's no-pattern
+        # lacks in no-filter j. Setting one would cover that member, so the
+        # guard refuses every candidate carrying it and the bit stays clear.
+        pinned = [0] * r
         guard = not params.allow_false_negatives
         f_count = 0
         r_count = 0
@@ -239,10 +243,15 @@ class YesNoFilter:
             for j in range(r):
                 candidate_mask = no_masks[j] | fno
                 if guard:
+                    if fno & pinned[j]:
+                        continue  # the member scan would refuse it too
                     ok = True
                     for mn in member_no_masks:
                         if mn & candidate_mask == mn:
                             ok = False  # would start rejecting a member
+                            missing = mn & ~no_masks[j]
+                            if not missing & (missing - 1):
+                                pinned[j] |= missing
                             break
                     if not ok:
                         continue

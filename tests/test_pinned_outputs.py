@@ -1,12 +1,15 @@
-"""Pinned digests of the sweep and topology CSVs.
+"""Pinned digests of the sweep and topology CSVs and of saturated builds.
 
-The digests were taken from the code as it stood before the trial kernel
-was shared, so any change to hashing, construction, classification or CSV
-formatting shows here. A change that alters these outputs on purpose
-updates the digest and says why in CHANGES.md.
+The CSV digests were taken from the code as it stood before the trial
+kernel was shared, and the saturated-build digest from the plain first-fit
+loop before refused no-bits were cached, so any change to hashing,
+construction, classification or CSV formatting shows here. A change that
+alters these outputs on purpose updates the digest and says why in
+CHANGES.md.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -18,6 +21,7 @@ from yesnobf.topology import (
     run_topology_experiment,
     topology_results_to_csv,
 )
+from yesnobf.yesno import Sketcher, YesNoFilter, YesNoParams
 
 SWEEP_DIGESTS = {
     ("r_fixed_m", MODE_RANDOM):
@@ -34,6 +38,8 @@ TOPOLOGY_DIGESTS = {
     MODE_RANDOM: "5a6ae78dc4bf13aa97cfa0b98b486622aa3e07e3268c1cddef6adc477d6b1e06",
     MODE_DOUBLE: "0b143dfab76d0cc57607739f035f64cbfbaaa017249b89ec9f613ac895e03c23",
 }
+
+SATURATED_DIGEST = "dac0356a9a2944d739ddc8dccfc5d5951ab2178b6c4b84eef551009d0f1cb612"
 
 SWEEP_RANGES = {"r_fixed_m": (0, 6), "k": (1, 10)}
 
@@ -56,3 +62,23 @@ def test_topology_csv_is_pinned(mode):
                    seed=13, mode=mode)
                for name, graph in default_corpus()]
     assert _digest(topology_results_to_csv(results)) == TOPOLOGY_DIGESTS[mode]
+
+
+def test_saturated_builds_are_pinned():
+    # the serve benchmark's geometry: 60 members against a 2000-flow window
+    # that slides 100 flows per build fill the eight 32-bit no-filters, so
+    # the member guard refuses most placements
+    params = YesNoParams.of(p=256, q=32, r=8, k=4, k_prime=4)
+    sk = Sketcher(params, seed=17)
+    routes = [sk.sketch(f"route-{i}") for i in range(600)]
+    flows = [sk.sketch(f"flow-{i}") for i in range(4000)]
+    rng = random.Random(17)
+    rows = []
+    for b in range(20):
+        built, report = YesNoFilter.build_from_sketches(
+            params, rng.sample(routes, 60), flows[b * 100:b * 100 + 2000], seed=17)
+        rows.append((report.f_count, report.r_count, report.per_no_filter_load,
+                     built.yes_filter.as_int(),
+                     tuple(nf.as_int() for nf in built.no_filters)))
+    assert all(f_count > r_count for f_count, r_count, *_ in rows)  # saturated
+    assert _digest(repr(rows)) == SATURATED_DIGEST

@@ -181,6 +181,28 @@ def test_sweep_skips_impossible_geometry_and_flags_it():
     assert all(cell == "" for cell in rows[2][2:-1])
 
 
+def test_sweep_without_guard_reports_lost_members():
+    # without the guard every yes-stage false positive lands in no-filter 0,
+    # so mean_fp reads 0 while members are lost; mean_fn is what shows it
+    config = _small_sweep(allow_false_negatives=True)
+    result = sweep(config)
+    assert all(pt.mean_fp == 0 and pt.mean_fn > 0 for pt in result.points)
+    for index, pt in enumerate(result.points):
+        params = YesNoParams.of(40, 8, 2, pt.value, 3, allow_false_negatives=True)
+        lost = sum(len(trial_outcome(params, 10, 40, derive_seed(5, index, trial))[1]
+                       .false_negatives) for trial in range(config.trials))
+        assert pt.mean_fn == lost / config.trials
+
+    rows = list(csv.reader(io.StringIO(result.to_csv())))
+    assert tuple(rows[0]) == CSV_HEADER + ("mean_fn",)
+    assert [float(row[-1]) for row in rows[1:]] == pytest.approx(
+        [pt.mean_fn for pt in result.points], abs=1e-6)
+
+    guarded = sweep(_small_sweep())
+    assert all(pt.mean_fn is None for pt in guarded.points)
+    assert list(csv.reader(io.StringIO(guarded.to_csv())))[0] == list(CSV_HEADER)
+
+
 def test_r_sweep_at_fixed_m_reaches_zero():
     # r=0 keeps all 96 bits in the yes-filter and still runs
     config = _small_sweep(swept="r_fixed_m", start=0, stop=1, trials=10)

@@ -13,6 +13,7 @@ from yesnobf.bitcore import (
     is_subset,
 )
 from yesnobf.yesno import (
+    ConstructionReport,
     QueryResult,
     Sketcher,
     YesNoFilter,
@@ -282,3 +283,58 @@ def test_property_build_and_classify_equals_build_then_classify(
     filt, report = YesNoFilter.build(params, members, candidates, seed=seed, mode=mode)
     expected = (filt, report, filt.classify(members, candidates))
     assert YesNoFilter.build_and_classify(params, members, candidates, seed, mode) == expected
+
+
+def _plain_first_fit(params, member_sketches, candidate_sketches):
+    """Reference construction: greedy first-fit, where the guard scans every
+    member's no-pattern for each placement it considers."""
+    yes_mask = 0
+    member_no_masks = []
+    for y, mn in member_sketches:
+        yes_mask |= y
+        member_no_masks.append(mn)
+    no_masks = [0] * params.r
+    loads = [0] * params.r
+    f_count = r_count = 0
+    for y, fno in candidate_sketches:
+        if y & yes_mask != y:
+            continue
+        f_count += 1
+        for j in range(params.r):
+            candidate_mask = no_masks[j] | fno
+            if not params.allow_false_negatives and any(
+                    mn & candidate_mask == mn for mn in member_no_masks):
+                continue
+            no_masks[j] = candidate_mask
+            loads[j] += 1
+            r_count += 1
+            break
+    report = ConstructionReport(len(member_sketches), len(candidate_sketches),
+                                f_count, r_count, f_count - r_count, tuple(loads))
+    return yes_mask, no_masks, report
+
+
+# small yes-filters against many candidates: nearly every candidate is a
+# yes-stage false positive, so the no-filters fill and the guard refuses often
+saturating = st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(0, 8),
+                       st.integers(1, 3), st.integers(1, 4)).map(
+    lambda g: (g[0] + g[1],) + g[1:])
+
+
+@settings(max_examples=120, deadline=None)
+@given(geometry=saturating, n=st.integers(0, 20), t=st.integers(0, 400),
+       base=st.integers(0, 2**32), seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]), guard=st.booleans())
+def test_property_build_matches_plain_first_fit(geometry, n, t, base, seed, mode,
+                                                guard):
+    p, q, r, k, k_prime = geometry
+    params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
+    sk = Sketcher(params, seed, mode)
+    members = [sk.sketch(base + i) for i in range(n)]
+    candidates = [sk.sketch(base + n + i) for i in range(t)]
+    built, report = YesNoFilter.build_from_sketches(params, members, candidates,
+                                                    seed=seed, mode=mode)
+    yes_mask, no_masks, expected = _plain_first_fit(params, members, candidates)
+    assert built.yes_filter.as_int() == yes_mask
+    assert [nf.as_int() for nf in built.no_filters] == no_masks
+    assert report == expected
