@@ -13,6 +13,8 @@ one per traversal direction.
 
 from __future__ import annotations
 
+import csv
+import io
 import warnings
 import xml.etree.ElementTree as ET
 from collections import deque
@@ -365,18 +367,25 @@ TOPOLOGY_CSV_HEADER = ("topology", "path_len", "t_size", "fp_yesno_mean",
 AGGREGATE_CSV_HEADER = ("n", "rate_yesno", "rate_bf", "ratio")
 
 
+def _to_csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def topology_results_to_csv(results) -> str:
-    lines = [",".join(TOPOLOGY_CSV_HEADER)]
-    for r in results:
-        ratio = f"{r.ratio:.6f}" if r.ratio is not None else ""
-        lines.append(f"{r.topology},{r.path_len},{r.t_size},"
-                     f"{r.fp_yesno_mean:.6f},{r.fp_bf_mean:.6f},{ratio}")
-    return "\n".join(lines) + "\n"
+    """One row per topology, floats at 6 decimals; a name holding a comma
+    or a quote is quoted, so every row keeps the header's six fields."""
+    return _to_csv(TOPOLOGY_CSV_HEADER, (
+        (r.topology, r.path_len, r.t_size, f"{r.fp_yesno_mean:.6f}",
+         f"{r.fp_bf_mean:.6f}", f"{r.ratio:.6f}" if r.ratio is not None else "")
+        for r in results))
 
 
 def aggregates_to_csv(aggregates) -> str:
-    lines = [",".join(AGGREGATE_CSV_HEADER)]
-    for a in aggregates:
-        ratio = f"{a.ratio:.6f}" if a.ratio is not None else ""
-        lines.append(f"{a.n},{a.rate_yesno:.6f},{a.rate_bf:.6f},{ratio}")
-    return "\n".join(lines) + "\n"
+    return _to_csv(AGGREGATE_CSV_HEADER, (
+        (a.n, f"{a.rate_yesno:.6f}", f"{a.rate_bf:.6f}",
+         f"{a.ratio:.6f}" if a.ratio is not None else "")
+        for a in aggregates))

@@ -233,6 +233,7 @@ class YesNoFilter:
         # guard refuses every candidate carrying it and the bit stays clear.
         pinned = [0] * r
         guard = not params.allow_false_negatives
+        packed = None  # member no-masks one per lane, packed at first need
         f_count = 0
         r_count = 0
 
@@ -244,16 +245,33 @@ class YesNoFilter:
                 candidate_mask = no_masks[j] | fno
                 if guard:
                     if fno & pinned[j]:
-                        continue  # the member scan would refuse it too
-                    ok = True
-                    for mn in member_no_masks:
-                        if mn & candidate_mask == mn:
-                            ok = False  # would start rejecting a member
-                            missing = mn & ~no_masks[j]
-                            if not missing & (missing - 1):
-                                pinned[j] |= missing
-                            break
-                    if not ok:
+                        continue  # a member scan would refuse it too
+                    if packed is None:
+                        # Lane i of packed is member i's no-mask under a set
+                        # stop bit; lows and highs hold every lane's lowest
+                        # bit and stop bit.
+                        width = params.q + 1
+                        lane = (1 << width) - 1
+                        lows = ((1 << width * len(member_no_masks)) - 1) // lane
+                        highs = lows << params.q
+                        packed = 0
+                        for mn in reversed(member_no_masks):
+                            packed = packed << width | mn
+                        packed |= highs
+                    # Masked, lane i keeps its stop bit and member i's bits
+                    # outside the candidate. Subtracting lows borrows from the
+                    # stop bit, never past it, only when there are none: when
+                    # the placement would cover member i.
+                    kept = (packed & (candidate_mask ^ lane) * lows) - lows
+                    if kept & highs != highs:
+                        # The lowest cleared stop bit is the first covered
+                        # member in input order, the one a scan stops at.
+                        covered = highs & ~kept
+                        mn = member_no_masks[
+                            ((covered & -covered).bit_length() - 1) // width]
+                        missing = mn & ~no_masks[j]
+                        if not missing & (missing - 1):
+                            pinned[j] |= missing
                         continue
                 no_masks[j] = candidate_mask
                 loads[j] += 1

@@ -180,6 +180,19 @@ def test_topology_both_csvs_to_stdout(capsys, tmp_path):
     assert len(agg_rows) == 1 + 2  # lengths 4 and 5
 
 
+def test_topology_quotes_names_that_need_it(capsys, tmp_path):
+    ring_file, chain_file = _write_toy_graphs(tmp_path)
+    odd_file = tmp_path / 'lab,north "a".edgelist'
+    odd_file.write_text(ring_file.read_text())
+    code, out, err = run_cli(capsys, *_topology_args(odd_file, chain_file))
+    assert code == 0 and err == ""
+    per_topology, _ = out.split("\n\n", 1)
+    rows = list(csv.reader(io.StringIO(per_topology)))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert [row[0] for row in rows[1:]] == ['lab,north "a"', "chain"]
+    assert per_topology.splitlines()[2].startswith("chain,")
+
+
 def test_topology_deterministic(capsys, tmp_path):
     files = _write_toy_graphs(tmp_path)
     _, first, _ = run_cli(capsys, *_topology_args(*files))

@@ -314,20 +314,25 @@ def _plain_first_fit(params, member_sketches, candidate_sketches):
     return yes_mask, no_masks, report
 
 
-# small yes-filters against many candidates: nearly every candidate is a
-# yes-stage false positive, so the no-filters fill and the guard refuses often
-saturating = st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(0, 8),
-                       st.integers(1, 3), st.integers(1, 4)).map(
-    lambda g: (g[0] + g[1],) + g[1:])
+def _saturating(q_min, q_max, n_max):
+    """(p, q, r, k, k', n) with a yes-filter just wider than a no-filter:
+    nearly every candidate is a yes-stage false positive, so the no-filters
+    fill and the guard refuses often."""
+    return st.tuples(st.integers(1, 12), st.integers(q_min, q_max), st.integers(0, 8),
+                     st.integers(1, 3), st.integers(1, 4), st.integers(0, n_max)).map(
+        lambda g: (g[0] + g[1],) + g[1:])
 
 
 @settings(max_examples=120, deadline=None)
-@given(geometry=saturating, n=st.integers(0, 20), t=st.integers(0, 400),
-       base=st.integers(0, 2**32), seed=st.integers(0, 2**32 - 1),
+@given(shape=st.one_of(_saturating(1, 12, 20),
+                       # serve-sized: guard lanes straddle 30-bit int digits
+                       # and 64-bit words
+                       _saturating(24, 70, 80)),
+       t=st.integers(0, 400), base=st.integers(0, 2**32),
+       seed=st.integers(0, 2**32 - 1),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]), guard=st.booleans())
-def test_property_build_matches_plain_first_fit(geometry, n, t, base, seed, mode,
-                                                guard):
-    p, q, r, k, k_prime = geometry
+def test_property_build_matches_plain_first_fit(shape, t, base, seed, mode, guard):
+    p, q, r, k, k_prime, n = shape
     params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
     sk = Sketcher(params, seed, mode)
     members = [sk.sketch(base + i) for i in range(n)]
