@@ -145,7 +145,8 @@ class HashFamily:
     all positions from two base hashes, the usual cheap alternative.
     """
 
-    __slots__ = ("count", "range_size", "mode", "seed", "distinct", "_key", "_hasher")
+    __slots__ = ("count", "range_size", "mode", "seed", "distinct", "_key", "_hasher",
+                 "_suffixes", "_unpack")
 
     def __init__(self, count: int, range_size: int, *, mode: str = MODE_RANDOM,
                  seed: int = 0, distinct: bool = False):
@@ -169,6 +170,11 @@ class HashFamily:
         # keyed once; each digest copies it, skipping the key block's compression
         self._hasher = blake2b(key=self._key,
                                digest_size=16 if mode == MODE_DOUBLE else 64)
+        # Without distinct a random-mode walk takes exactly the first count
+        # chunks, so its blocks and their unpacker are fixed by the shape.
+        self._suffixes = tuple(block.to_bytes(4, "little")
+                               for block in range(-(-count // 8)))
+        self._unpack = struct.Struct(f"<{count}Q").unpack_from
 
     def positions(self, element) -> list[int]:
         """Hash positions of the element, one per function, order fixed."""
@@ -185,7 +191,9 @@ class HashFamily:
 
         The one hash-stream walker. Random mode reads 64-bit chunks of the
         digests of data + u32 block number, blocks 0, 1, ..., until count
-        positions are taken (with distinct, skipping positions already set).
+        positions are taken. Without distinct that is the first count chunks
+        of blocks 0 .. ceil(count/8)-1, read with one unpack; with distinct,
+        positions already set are skipped, so the walk goes on block by block.
         A list given as out receives the positions in order, duplicates kept.
         """
         need = self.count
@@ -202,8 +210,19 @@ class HashFamily:
             for pos in taken:
                 mask |= 1 << pos
             return mask
-        distinct = self.distinct
         hasher = self._hasher
+        if not self.distinct:
+            stream = b""
+            for suffix in self._suffixes:
+                h = hasher.copy()
+                h.update(data + suffix)
+                stream += h.digest()
+            chunks = self._unpack(stream)
+            for c in chunks:
+                mask |= 1 << c % size
+            if out is not None:
+                out.extend([c % size for c in chunks])
+            return mask
         block = 0
         suffix = b"\0\0\0\0"
         while need:
@@ -211,7 +230,7 @@ class HashFamily:
             h.update(data + suffix)
             for c in _UNPACK_8Q(h.digest()):
                 bit = 1 << c % size
-                if distinct and mask & bit:
+                if mask & bit:
                     continue
                 mask |= bit
                 if out is not None:

@@ -98,7 +98,14 @@ class QueryResult(enum.Enum):
     NEGATIVE_NO_STAGE = "negative_no_stage"
 
 
-@dataclass(frozen=True)
+# Queries return these module globals: loading one costs about a tenth of
+# looking a member up on the Enum class, which costs more than the bit tests.
+_POSITIVE = QueryResult.POSITIVE
+_NEGATIVE_YES_STAGE = QueryResult.NEGATIVE_YES_STAGE
+_NEGATIVE_NO_STAGE = QueryResult.NEGATIVE_NO_STAGE
+
+
+@dataclass(frozen=True, slots=True)
 class ConstructionReport:
     """What construction saw and did.
 
@@ -218,12 +225,22 @@ class YesNoFilter:
 
         The sketches must come from a Sketcher with the same params, seed
         and mode, or later queries will not see the bits laid down here.
+        A member part, or the no part of a yes-stage false positive, wider
+        than its filter raises ValueError.
         """
+        q = params.q
         yes_mask = 0
         member_no_masks = []
         for y, mn in member_sketches:
+            # a wide no part would spill into the next member's guard lane;
+            # a shift per member is cheaper than OR-ing them all and testing
+            # once, as each OR allocates an int
+            if mn >> q:
+                raise ValueError("a member no part is wider than q bits")
             yes_mask |= y
             member_no_masks.append(mn)
+        if yes_mask >> params.p:
+            raise ValueError("a member yes part is wider than p bits")
 
         r = params.r
         no_masks = [0] * r
@@ -240,6 +257,8 @@ class YesNoFilter:
         for y, fno in candidate_sketches:
             if y & yes_mask != y:
                 continue  # genuine negative, nothing to mitigate
+            if fno >> q:
+                raise ValueError("a candidate no part is wider than q bits")
             f_count += 1
             for j in range(r):
                 candidate_mask = no_masks[j] | fno
@@ -250,10 +269,10 @@ class YesNoFilter:
                         # Lane i of packed is member i's no-mask under a set
                         # stop bit; lows and highs hold every lane's lowest
                         # bit and stop bit.
-                        width = params.q + 1
+                        width = q + 1
                         lane = (1 << width) - 1
                         lows = ((1 << width * len(member_no_masks)) - 1) // lane
-                        highs = lows << params.q
+                        highs = lows << q
                         packed = 0
                         for mn in reversed(member_no_masks):
                             packed = packed << width | mn
@@ -294,14 +313,15 @@ class YesNoFilter:
 
     def query_sketch(self, s: ElementSketch) -> QueryResult:
         """Two-stage decision for an element already sketched with
-        matching params and seed."""
+        matching params and seed; contains() and classify() both answer
+        through it."""
         y, fno = s
         if y & self._yes_mask != y:
-            return QueryResult.NEGATIVE_YES_STAGE
+            return _NEGATIVE_YES_STAGE
         for nm in self._no_masks:
             if fno & nm == fno:
-                return QueryResult.NEGATIVE_NO_STAGE
-        return QueryResult.POSITIVE
+                return _NEGATIVE_NO_STAGE
+        return _POSITIVE
 
     def query(self, element) -> QueryResult:
         sk = self._sketcher
@@ -310,7 +330,7 @@ class YesNoFilter:
         return self.query_sketch(sk.sketch(element))
 
     def contains(self, element) -> bool:
-        return self.query(element) is QueryResult.POSITIVE
+        return self.query(element) is _POSITIVE
 
     def classify(self, members, candidates) -> Classification:
         """Partition members and candidates by query outcome.
@@ -330,21 +350,28 @@ class YesNoFilter:
         return self.classify_sketches(member_pairs, candidate_pairs)
 
     def classify_sketches(self, member_pairs, candidate_pairs) -> Classification:
-        """classify() core over (element, sketch) pairs."""
+        """classify() core over (element, sketch) pairs: one query_sketch
+        call per element, so a subclass that overrides it is obeyed."""
         out = Classification()
+        query = self.query_sketch
+        true_positive = out.true_positives.append
+        false_negative = out.false_negatives.append
         for e, s in member_pairs:
-            if self.query_sketch(s) is QueryResult.POSITIVE:
-                out.true_positives.append(e)
+            if query(s) is _POSITIVE:
+                true_positive(e)
             else:
-                out.false_negatives.append(e)
+                false_negative(e)
+        yes_stage_negative = out.yes_stage_negatives.append
+        no_stage_rejection = out.no_stage_rejections.append
+        residual = out.residual_false_positives.append
         for e, s in candidate_pairs:
-            result = self.query_sketch(s)
-            if result is QueryResult.NEGATIVE_YES_STAGE:
-                out.yes_stage_negatives.append(e)
-            elif result is QueryResult.NEGATIVE_NO_STAGE:
-                out.no_stage_rejections.append(e)
+            result = query(s)
+            if result is _NEGATIVE_YES_STAGE:
+                yes_stage_negative(e)
+            elif result is _NEGATIVE_NO_STAGE:
+                no_stage_rejection(e)
             else:
-                out.residual_false_positives.append(e)
+                residual(e)
         return out
 
     def to_bitstring(self) -> str:

@@ -264,6 +264,9 @@ def _reference_positions(count, size, seed, distinct, element):
 @example(count=20, size=300, distinct=False, seed=1, element=2**70)
 @example(count=16, size=16, distinct=True, seed=3, element="link")
 @example(count=9, size=64, distinct=True, seed=0, element=b"raw")
+# one digest block, then the first chunk of a second one
+@example(count=8, size=300, distinct=False, seed=5, element="edge")
+@example(count=9, size=300, distinct=False, seed=5, element="edge")
 def test_element_mask_matches_reference_stream(count, size, distinct, seed, element):
     if distinct and count > size:
         count = size

@@ -136,6 +136,19 @@ def test_build_rejects_overlap_and_duplicates():
         YesNoFilter.build(params, ["a", "b"], ["b", "c"])
 
 
+@pytest.mark.parametrize("members, candidates", [
+    # member 0's no part spills into member 1's guard lane at q=4
+    ([(0b1, 1 << 6), (0b1, 0b0011)], [(0b1, 0b0001), (0b1, 0b0010)]),
+    ([(1 << 8, 0b1)], []),                  # member yes part wider than p
+    ([(0b1, 0b1)], [(0b1, 1 << 4)]),        # yes-stage FP no part wider than q
+    ([(0b1, -1)], []),
+])
+def test_build_rejects_sketches_wider_than_their_filter(members, candidates):
+    params = YesNoParams.of(p=8, q=4, r=1, k=1, k_prime=2)
+    with pytest.raises(ValueError, match="wider"):
+        YesNoFilter.build_from_sketches(params, members, candidates)
+
+
 def test_members_always_positive_with_guard():
     params = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3)
     members = [f"name-{i}" for i in range(12)]
@@ -343,3 +356,48 @@ def test_property_build_matches_plain_first_fit(shape, t, base, seed, mode, guar
     assert built.yes_filter.as_int() == yes_mask
     assert [nf.as_int() for nf in built.no_filters] == no_masks
     assert report == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_saturating(1, 12, 20), t=st.integers(0, 200), base=st.integers(0, 2**32),
+       seed=st.integers(0, 2**32 - 1), guard=st.booleans())
+def test_property_classify_files_each_element_where_query_sketch_says(
+        shape, t, base, seed, guard):
+    p, q, r, k, k_prime, n = shape
+    params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
+    sk = Sketcher(params, seed)
+    member_pairs = [(base + i, sk.sketch(base + i)) for i in range(n)]
+    candidate_pairs = [(base + n + i, sk.sketch(base + n + i)) for i in range(t)]
+    filt, _ = YesNoFilter.build_from_sketches(
+        params, [s for _, s in member_pairs], [s for _, s in candidate_pairs],
+        seed=seed)
+    got = filt.classify_sketches(member_pairs, candidate_pairs)
+    assert got.true_positives == [e for e, s in member_pairs
+                                  if filt.query_sketch(s) is QueryResult.POSITIVE]
+    assert got.false_negatives == [e for e, s in member_pairs
+                                   if filt.query_sketch(s) is not QueryResult.POSITIVE]
+    for outcome, filed in ((QueryResult.NEGATIVE_YES_STAGE, got.yes_stage_negatives),
+                           (QueryResult.NEGATIVE_NO_STAGE, got.no_stage_rejections),
+                           (QueryResult.POSITIVE, got.residual_false_positives)):
+        assert filed == [e for e, s in candidate_pairs
+                         if filt.query_sketch(s) is outcome]
+
+
+def test_classify_and_contains_obey_an_overriding_query_sketch():
+    class SaysNoTo(YesNoFilter):
+        __slots__ = ("refused",)
+
+        def query_sketch(self, s):
+            if s == self.refused:
+                return QueryResult.NEGATIVE_NO_STAGE
+            return super().query_sketch(s)
+
+    params = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3)
+    members = [f"name-{i}" for i in range(12)]
+    candidates = [f"probe-{i}" for i in range(60)]
+    filt, _ = YesNoFilter.build(params, members, candidates, seed=3)
+    stub = SaysNoTo(params, filt.yes_filter, filt.no_filters, seed=3)
+    stub.refused = Sketcher(params, seed=3).sketch(members[0])
+    assert filt.classify(members, candidates).false_negatives == []
+    assert stub.classify(members, candidates).false_negatives == [members[0]]
+    assert not stub.contains(members[0])
