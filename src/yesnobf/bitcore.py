@@ -184,17 +184,48 @@ class HashFamily:
 
     def element_mask(self, element) -> int:
         """The element's bits as an int, the form the filters compare against."""
-        return self.encoded_mask(element_to_bytes(element))
+        return self.encoded_masks((element_to_bytes(element),))[0]
+
+    def encoded_masks(self, datas) -> list[int]:
+        """encoded_mask of each element already encoded by element_to_bytes.
+
+        A random-mode family without distinct walks the whole list in one
+        loop, loading the keyed hasher, the block suffixes, the unpacker and
+        the range once per list: per element, those lookups and the call
+        cost more than the bit arithmetic. Other families take encoded_mask
+        once per item.
+        """
+        if self.distinct or self.mode == MODE_DOUBLE:
+            encode = self.encoded_mask
+            return [encode(data) for data in datas]
+        hasher = self._hasher
+        suffixes = self._suffixes
+        unpack = self._unpack
+        size = self.range_size
+        masks = []
+        for data in datas:
+            stream = b""
+            for suffix in suffixes:
+                h = hasher.copy()
+                h.update(data + suffix)
+                stream += h.digest()
+            mask = 0
+            for c in unpack(stream):
+                mask |= 1 << c % size
+            masks.append(mask)
+        return masks
 
     def encoded_mask(self, data: bytes, out: list | None = None) -> int:
         """element_mask of an element already encoded by element_to_bytes.
 
-        The one hash-stream walker. Random mode reads 64-bit chunks of the
-        digests of data + u32 block number, blocks 0, 1, ..., until count
-        positions are taken. Without distinct that is the first count chunks
-        of blocks 0 .. ceil(count/8)-1, read with one unpack; with distinct,
-        positions already set are skipped, so the walk goes on block by block.
-        A list given as out receives the positions in order, duplicates kept.
+        The per-element hash-stream walker. Random mode reads 64-bit chunks
+        of the digests of data + u32 block number, blocks 0, 1, ..., until
+        count positions are taken. Without distinct that is the first count
+        chunks of blocks 0 .. ceil(count/8)-1, read with one unpack, the
+        walk encoded_masks batches; it stays here for positions(). With
+        distinct, positions already set are skipped, so the walk goes on
+        block by block. A list given as out receives the positions in
+        order, duplicates kept.
         """
         need = self.count
         size = self.range_size

@@ -17,6 +17,7 @@ import csv
 import io
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
@@ -36,13 +37,16 @@ def draw_elements(trial_seed: int, n: int, t: int) -> tuple[list[int], list[int]
     if n < 0 or t < 0:
         raise ValueError("n and t must be >= 0")
     rng = random.Random(trial_seed)
-    drawn: list[int] = []
-    seen: set[int] = set()
-    while len(drawn) < n + t:
-        value = rng.getrandbits(64)
-        if value not in seen:  # collisions are ~never, but determinism is cheap
-            seen.add(value)
-            drawn.append(value)
+    total = n + t
+    # one wide draw is total 64-bit draws end to end, low word first, and
+    # leaves the generator where total getrandbits(64) calls would
+    wide = rng.getrandbits(64 * total).to_bytes(8 * total, "little")
+    # a dict keeps first occurrences in order, and storing a repeat again
+    # leaves it where it was
+    unique = dict.fromkeys(struct.unpack(f"<{total}Q", wide))
+    while len(unique) < total:  # collisions are ~never, but determinism is cheap
+        unique[rng.getrandbits(64)] = None
+    drawn = list(unique)
     return drawn[:n], drawn[n:]
 
 

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bitcore import MODE_RANDOM, BloomFilter, derive_seed
+from .bitcore import MODE_RANDOM, BloomFilter, derive_seed, element_to_bytes
 from .yesno import YesNoFilter, YesNoParams
 
 DEFAULT_PARAMS = YesNoParams.of(p=192, q=32, r=2, k=4, k_prime=3)
@@ -310,16 +310,23 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     params = experiment.params
     s_ids = [link.id for link in experiment.s_links]
     t_ids = [link.id for link in experiment.t_links]
+    # the classic baseline hashes the encoded ids with its filter's family:
+    # inserting s_ids and asking contains() of each t_id gives these counts
+    s_datas = [element_to_bytes(e) for e in s_ids]
+    t_datas = [element_to_bytes(e) for e in t_ids]
     yn_counts = []
     bf_counts = []
     for index in range(experiment.allocations):
         alloc_seed = derive_seed(seed, experiment.name, index)
         yn_counts.append(YesNoFilter.build_and_classify(
             params, s_ids, t_ids, alloc_seed, mode)[2].fp_count)
-        bf = BloomFilter(params.m, experiment.k_bf, seed=alloc_seed, mode=mode)
-        for e in s_ids:
-            bf.insert(e)
-        bf_counts.append(sum(bf.contains(e) for e in t_ids))
+        family = BloomFilter(params.m, experiment.k_bf, seed=alloc_seed,
+                             mode=mode).family
+        bf_mask = 0
+        for mask in family.encoded_masks(s_datas):
+            bf_mask |= mask
+        bf_counts.append(sum(mask & bf_mask == mask
+                             for mask in family.encoded_masks(t_datas)))
     fp_yesno_mean = sum(yn_counts) / experiment.allocations
     fp_bf_mean = sum(bf_counts) / experiment.allocations
     ratio = fp_yesno_mean / fp_bf_mean if fp_bf_mean > 0 else None

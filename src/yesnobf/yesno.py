@@ -88,8 +88,18 @@ class Sketcher:
         self.no_family = HashFamily(params.k_prime, params.q, mode=mode, seed=seed)
 
     def sketch(self, element) -> ElementSketch:
-        data = element_to_bytes(element)
-        return self.yes_family.encoded_mask(data), self.no_family.encoded_mask(data)
+        # a one-item walk per family; sketch_many's list and zip would
+        # cost a single element about a microsecond more
+        datas = (element_to_bytes(element),)
+        return (self.yes_family.encoded_masks(datas)[0],
+                self.no_family.encoded_masks(datas)[0])
+
+    def sketch_many(self, elements) -> list[ElementSketch]:
+        """sketch() of each element, in order: every element is encoded
+        once and each family walks the whole list in one batch."""
+        datas = [element_to_bytes(e) for e in elements]
+        return list(zip(self.yes_family.encoded_masks(datas),
+                        self.no_family.encoded_masks(datas)))
 
 
 class QueryResult(enum.Enum):
@@ -195,8 +205,8 @@ class YesNoFilter:
         member_list, candidate_list = _check_disjoint_sets(members, candidates)
         sk = Sketcher(params, seed, mode)
         built, report = cls.build_from_sketches(
-            params, [sk.sketch(e) for e in member_list],
-            [sk.sketch(e) for e in candidate_list], seed=seed, mode=mode)
+            params, sk.sketch_many(member_list), sk.sketch_many(candidate_list),
+            seed=seed, mode=mode)
         built._sketcher = sk
         return built, report
 
@@ -208,13 +218,14 @@ class YesNoFilter:
         element once: the trial kernel of sweeps and topology experiments."""
         member_list, candidate_list = _check_disjoint_sets(members, candidates)
         sk = Sketcher(params, seed, mode)
-        member_pairs = [(e, sk.sketch(e)) for e in member_list]
-        candidate_pairs = [(e, sk.sketch(e)) for e in candidate_list]
+        member_sketches = sk.sketch_many(member_list)
+        candidate_sketches = sk.sketch_many(candidate_list)
         built, report = cls.build_from_sketches(
-            params, [s for _, s in member_pairs], [s for _, s in candidate_pairs],
-            seed=seed, mode=mode)
+            params, member_sketches, candidate_sketches, seed=seed, mode=mode)
         built._sketcher = sk
-        return built, report, built.classify_sketches(member_pairs, candidate_pairs)
+        return built, report, built.classify_sketches(
+            list(zip(member_list, member_sketches)),
+            list(zip(candidate_list, candidate_sketches)))
 
     @classmethod
     def build_from_sketches(cls, params: YesNoParams, member_sketches,
@@ -345,9 +356,9 @@ class YesNoFilter:
         sk = self._sketcher
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
-        member_pairs = [(e, sk.sketch(e)) for e in member_list]
-        candidate_pairs = [(e, sk.sketch(e)) for e in candidate_list]
-        return self.classify_sketches(member_pairs, candidate_pairs)
+        return self.classify_sketches(
+            list(zip(member_list, sk.sketch_many(member_list))),
+            list(zip(candidate_list, sk.sketch_many(candidate_list))))
 
     def classify_sketches(self, member_pairs, candidate_pairs) -> Classification:
         """classify() core over (element, sketch) pairs: one query_sketch

@@ -276,6 +276,27 @@ def test_element_mask_matches_reference_stream(count, size, distinct, seed, elem
     assert fam.element_mask(element) == sum(1 << pos for pos in set(expected))
 
 
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(0, 20), size=st.integers(1, 500),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]), distinct=st.booleans(),
+       seed=st.integers(0, 2**64 - 1), batch=st.lists(elements, max_size=12))
+# one digest block per element, then two; and an empty list
+@example(count=8, size=500, mode=MODE_RANDOM, distinct=False, seed=5,
+         batch=["edge", 7, b"raw"])
+@example(count=9, size=500, mode=MODE_RANDOM, distinct=False, seed=5,
+         batch=["edge", 7, b"raw"])
+@example(count=9, size=64, mode=MODE_RANDOM, distinct=True, seed=0, batch=["edge"])
+@example(count=4, size=1, mode=MODE_DOUBLE, distinct=False, seed=0, batch=[3])
+@example(count=5, size=100, mode=MODE_RANDOM, distinct=False, seed=0, batch=[])
+def test_encoded_masks_is_encoded_mask_per_item(count, size, mode, distinct, seed, batch):
+    distinct = distinct and mode == MODE_RANDOM
+    if distinct and count > size:
+        count = size
+    fam = HashFamily(count, size, mode=mode, seed=seed, distinct=distinct)
+    datas = [element_to_bytes(e) for e in batch]
+    assert fam.encoded_masks(datas) == [fam.encoded_mask(d) for d in datas]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(elements, max_size=40), elements,
        st.integers(min_value=0, max_value=2**32))

@@ -32,6 +32,11 @@ SWEEP_DIGESTS = {
         "8020c65f0551ce4efcb392e485c3857faac1dee136706d97be24e4a888f1b6ed",
     ("k", MODE_DOUBLE):
         "b6c778f459e47f5f2af6e5834887ad81a0ff611d375b4655be0e92f04a5398ad",
+    # k' 8 -> 9 takes the no family from one digest block to two
+    ("k_prime", MODE_RANDOM):
+        "d85ed0162b4f29c8efbbe14063cb72dfa5aa84786ef1bd8ee88ba3e11403f8d4",
+    ("k_prime", MODE_DOUBLE):
+        "e93e14c52d1451150c21548a2a0470da535217d7a2c138e46c20b23269f1debe",
 }
 
 TOPOLOGY_DIGESTS = {
@@ -41,7 +46,7 @@ TOPOLOGY_DIGESTS = {
 
 SATURATED_DIGEST = "dac0356a9a2944d739ddc8dccfc5d5951ab2178b6c4b84eef551009d0f1cb612"
 
-SWEEP_RANGES = {"r_fixed_m": (0, 6), "k": (1, 10)}
+SWEEP_RANGES = {"r_fixed_m": (0, 6), "k": (1, 10), "k_prime": (1, 10)}
 
 
 def _digest(text: str) -> str:

@@ -2,9 +2,12 @@
 
 import csv
 import io
+import random
+import types
 
 import pytest
 
+from yesnobf import simulate
 from yesnobf.analysis import FilterShape, expected_fp_count, fp_prob_exact
 from yesnobf.bitcore import BloomFilter, derive_seed
 from yesnobf.simulate import (
@@ -31,6 +34,51 @@ def test_draw_elements_shape_and_determinism():
     assert all(0 <= e < 2**64 for e in combined)
     different, _ = draw_elements(124, 30, 100)
     assert different != members
+
+
+def _draw_one_at_a_time(rng, n, t):
+    """draw_elements as first written: one 64-bit draw per loop, repeats
+    skipped."""
+    drawn, seen = [], set()
+    while len(drawn) < n + t:
+        value = rng.getrandbits(64)
+        if value not in seen:
+            seen.add(value)
+            drawn.append(value)
+    return drawn[:n], drawn[n:]
+
+
+class _TinyRandom(random.Random):
+    """64-bit draws from range(8), so ids repeat. A wide draw is its 64-bit
+    draws end to end, low first, as random.Random's is."""
+
+    def getrandbits(self, k):
+        assert k % 64 == 0
+        draw = super().getrandbits
+        return sum(draw(3) << 64 * i for i in range(k // 64))
+
+
+@pytest.mark.parametrize("n, t", [(0, 0), (1, 0), (0, 3), (30, 100), (7, 300)])
+def test_draw_elements_matches_one_draw_at_a_time(n, t):
+    for trial_seed in range(20):
+        assert draw_elements(trial_seed, n, t) == _draw_one_at_a_time(
+            random.Random(trial_seed), n, t)
+        # the wide draw leaves the generator where the narrow ones do
+        wide, narrow = random.Random(trial_seed), random.Random(trial_seed)
+        wide.getrandbits(64 * (n + t))
+        for _ in range(n + t):
+            narrow.getrandbits(64)
+        assert wide.getrandbits(64) == narrow.getrandbits(64)
+
+
+def test_draw_elements_skips_repeats_like_one_draw_at_a_time(monkeypatch):
+    monkeypatch.setattr(simulate, "random", types.SimpleNamespace(Random=_TinyRandom))
+    for trial_seed in range(50):
+        for n, t in [(3, 5), (8, 0), (2, 2)]:
+            members, candidates = draw_elements(trial_seed, n, t)
+            assert len(set(members + candidates)) == n + t
+            assert (members, candidates) == _draw_one_at_a_time(
+                _TinyRandom(trial_seed), n, t)
 
 
 def test_draw_elements_rejects_negative_sizes():

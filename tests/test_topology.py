@@ -251,13 +251,15 @@ def test_csv_emitters():
 
 
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
-@pytest.mark.parametrize("name", ["ring14", "grid6x6"])
-def test_classic_baseline_counts_match_a_bloom_filter(name, mode):
+# k_bf 9 takes the baseline's family to a second digest block
+@pytest.mark.parametrize("name, k_bf", [("ring14", 4), ("grid6x6", 4), ("ring14", 9)],
+                         ids=["ring14", "grid6x6", "ring14-k_bf9"])
+def test_classic_baseline_counts_match_a_bloom_filter(name, k_bf, mode):
     # a small m keeps the counts off zero; k_bf != k and m != p, so a
     # baseline built with the yes-filter's shape would not match
     params = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=2)
     graph = dict(default_corpus())[name]
-    exp = PathExperiment.from_graph(name, graph, params=params, k_bf=4,
+    exp = PathExperiment.from_graph(name, graph, params=params, k_bf=k_bf,
                                     allocations=50)
     res = run_topology_experiment(exp, seed=5, mode=mode)
     s_ids = [link.id for link in exp.s_links]

@@ -1,7 +1,7 @@
 """Two-stage filter construction, queries, and serialization."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yesnobf.bitcore import (
@@ -10,6 +10,7 @@ from yesnobf.bitcore import (
     BitVector,
     BloomFilter,
     HashFamily,
+    element_to_bytes,
     is_subset,
 )
 from yesnobf.yesno import (
@@ -59,6 +60,34 @@ def test_sketch_parts_are_the_family_masks():
     assert sk.sketch(FIXTURE_ELEMENT) == (
         HashFamily(p.k, p.p, seed=FIXTURE_SEED).element_mask(FIXTURE_ELEMENT),
         HashFamily(p.k_prime, p.q, seed=FIXTURE_SEED).element_mask(FIXTURE_ELEMENT))
+
+
+ids = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
+                st.binary(max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 12), k_prime=st.integers(1, 12),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       seed=st.integers(0, 2**64 - 1), elements=st.lists(ids, max_size=20))
+# ids past 64 bits and below zero take the decimal encoding; k 9 walks two
+# digest blocks per element
+@example(k=9, k_prime=8, mode=MODE_RANDOM, seed=1,
+         elements=[2**64, 2**64 - 1, -1, 0, "", b"", "link"])
+@example(k=4, k_prime=9, mode=MODE_DOUBLE, seed=1, elements=[])
+def test_sketch_many_is_sketch_per_element(k, k_prime, mode, seed, elements):
+    sk = Sketcher(YesNoParams.of(p=300, q=40, r=1, k=k, k_prime=k_prime), seed, mode)
+    walked = [(sk.yes_family.encoded_mask(d), sk.no_family.encoded_mask(d))
+              for d in map(element_to_bytes, elements)]
+    assert sk.sketch_many(elements) == [sk.sketch(e) for e in elements] == walked
+
+
+def test_sketch_many_rejects_unsupported_ids():
+    sk = Sketcher(FIXTURE_PARAMS, seed=FIXTURE_SEED)
+    with pytest.raises(TypeError):
+        sk.sketch_many([1, 2.5])
+    with pytest.raises(TypeError):
+        sk.sketch(2.5)
 
 
 def _sk(p, q, yes_bits, no_bits):
