@@ -66,8 +66,9 @@ class YesNoParams:
 
 
 # An element's two hash patterns as int masks: (p-bit yes part, q-bit no
-# part). A plain tuple, so sketching allocates no wrapper objects.
-ElementSketch = tuple[int, int]
+# part). A plain tuple, so sketching allocates no wrapper objects. The no
+# part is None where the library did not hash it because no query reads it.
+ElementSketch = tuple[int, int | None]
 
 
 class Sketcher:
@@ -100,6 +101,32 @@ class Sketcher:
         datas = [element_to_bytes(e) for e in elements]
         return list(zip(self.yes_family.encoded_masks(datas),
                         self.no_family.encoded_masks(datas)))
+
+    def _sketch_sets(self, members, candidates, yes_mask=None
+                     ) -> tuple[list[ElementSketch], list[ElementSketch]]:
+        """Sketches of both lists as a query reads them, the yes stage first.
+
+        The yes family walks every element. The no family walks only the
+        elements whose yes part passes yes_mask (by default the OR of the
+        members' yes parts, the mask a build lays down), in one batch, and
+        none when there are no no-filters: no query reads the no part of a
+        yes-stage negative. Elements it does not walk get None as no part.
+        """
+        datas = [element_to_bytes(e) for e in members]
+        datas += [element_to_bytes(e) for e in candidates]
+        yes_parts = self.yes_family.encoded_masks(datas)
+        n = len(members)
+        if yes_mask is None:
+            yes_mask = 0
+            for y in yes_parts[:n]:
+                yes_mask |= y
+        sketches = [(y, None) for y in yes_parts]
+        if self.params.r:
+            hits = [i for i, y in enumerate(yes_parts) if y & yes_mask == y]
+            no_parts = self.no_family.encoded_masks([datas[i] for i in hits])
+            for i, fno in zip(hits, no_parts):
+                sketches[i] = (yes_parts[i], fno)
+        return sketches[:n], sketches[n:]
 
 
 class QueryResult(enum.Enum):
@@ -205,7 +232,7 @@ class YesNoFilter:
         member_list, candidate_list = _check_disjoint_sets(members, candidates)
         sk = Sketcher(params, seed, mode)
         built, report = cls.build_from_sketches(
-            params, sk.sketch_many(member_list), sk.sketch_many(candidate_list),
+            params, *sk._sketch_sets(member_list, candidate_list),
             seed=seed, mode=mode)
         built._sketcher = sk
         return built, report
@@ -218,8 +245,8 @@ class YesNoFilter:
         element once: the trial kernel of sweeps and topology experiments."""
         member_list, candidate_list = _check_disjoint_sets(members, candidates)
         sk = Sketcher(params, seed, mode)
-        member_sketches = sk.sketch_many(member_list)
-        candidate_sketches = sk.sketch_many(candidate_list)
+        member_sketches, candidate_sketches = sk._sketch_sets(member_list,
+                                                              candidate_list)
         built, report = cls.build_from_sketches(
             params, member_sketches, candidate_sketches, seed=seed, mode=mode)
         built._sketcher = sk
@@ -236,24 +263,30 @@ class YesNoFilter:
 
         The sketches must come from a Sketcher with the same params, seed
         and mode, or later queries will not see the bits laid down here.
-        A member part, or the no part of a yes-stage false positive, wider
-        than its filter raises ValueError.
+        A no part may be None where nothing reads it: on a candidate the
+        yes stage rejects, and on any element when r is 0. A member part,
+        or the no part of a yes-stage false positive, wider than its filter
+        raises ValueError, and so does a None no part that the guard or a
+        query would read.
         """
         q = params.q
+        r = params.r
         yes_mask = 0
         member_no_masks = []
         for y, mn in member_sketches:
+            if mn is None:
+                if r:
+                    raise ValueError("a member sketch lacks its no part")
             # a wide no part would spill into the next member's guard lane;
             # a shift per member is cheaper than OR-ing them all and testing
             # once, as each OR allocates an int
-            if mn >> q:
+            elif mn >> q:
                 raise ValueError("a member no part is wider than q bits")
             yes_mask |= y
             member_no_masks.append(mn)
         if yes_mask >> params.p:
             raise ValueError("a member yes part is wider than p bits")
 
-        r = params.r
         no_masks = [0] * r
         loads = [0] * r
         # pinned[j]: bits that are the only bit some member's no-pattern
@@ -268,7 +301,10 @@ class YesNoFilter:
         for y, fno in candidate_sketches:
             if y & yes_mask != y:
                 continue  # genuine negative, nothing to mitigate
-            if fno >> q:
+            if fno is None:
+                if r:
+                    raise ValueError("a yes-stage false positive lacks its no part")
+            elif fno >> q:
                 raise ValueError("a candidate no part is wider than q bits")
             f_count += 1
             for j in range(r):
@@ -325,7 +361,12 @@ class YesNoFilter:
     def query_sketch(self, s: ElementSketch) -> QueryResult:
         """Two-stage decision for an element already sketched with
         matching params and seed; contains() and classify() both answer
-        through it."""
+        through it, one call per element.
+
+        They hash the no part only where it can be read, so an override
+        is shown (y, None) for an element the yes stage rejects, and for
+        every element when r is 0.
+        """
         y, fno = s
         if y & self._yes_mask != y:
             return _NEGATIVE_YES_STAGE
@@ -338,7 +379,11 @@ class YesNoFilter:
         sk = self._sketcher
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
-        return self.query_sketch(sk.sketch(element))
+        datas = (element_to_bytes(element),)
+        y = sk.yes_family.encoded_masks(datas)[0]
+        if y & self._yes_mask == y and self._no_masks:
+            return self.query_sketch((y, sk.no_family.encoded_masks(datas)[0]))
+        return self.query_sketch((y, None))
 
     def contains(self, element) -> bool:
         return self.query(element) is _POSITIVE
@@ -356,9 +401,11 @@ class YesNoFilter:
         sk = self._sketcher
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
+        member_sketches, candidate_sketches = sk._sketch_sets(
+            member_list, candidate_list, self._yes_mask)
         return self.classify_sketches(
-            list(zip(member_list, sk.sketch_many(member_list))),
-            list(zip(candidate_list, sk.sketch_many(candidate_list))))
+            list(zip(member_list, member_sketches)),
+            list(zip(candidate_list, candidate_sketches)))
 
     def classify_sketches(self, member_pairs, candidate_pairs) -> Classification:
         """classify() core over (element, sketch) pairs: one query_sketch

@@ -173,9 +173,36 @@ def test_build_rejects_overlap_and_duplicates():
     ([(0b1, -1)], []),
 ])
 def test_build_rejects_sketches_wider_than_their_filter(members, candidates):
+    # with no no-filters too: an int no part is checked even where None may stand
+    for r in (1, 0):
+        params = YesNoParams.of(p=8, q=4, r=r, k=1, k_prime=2)
+        with pytest.raises(ValueError, match="wider"):
+            YesNoFilter.build_from_sketches(params, members, candidates)
+
+
+@pytest.mark.parametrize("members, candidates", [
+    ([(0b1, 0b1), (0b10, None)], [(0b1, 0b10)]),   # a member
+    ([(0b11, 0b1)], [(0b100, None), (0b10, None)]),  # a yes-stage FP
+])
+def test_build_rejects_a_missing_no_part_it_would_read(members, candidates):
     params = YesNoParams.of(p=8, q=4, r=1, k=1, k_prime=2)
-    with pytest.raises(ValueError, match="wider"):
+    with pytest.raises(ValueError, match="lacks its no part"):
         YesNoFilter.build_from_sketches(params, members, candidates)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_build_takes_a_missing_no_part_nothing_reads(r):
+    params = YesNoParams.of(p=8, q=4, r=r, k=1, k_prime=2)
+    members = [(0b11, None if r == 0 else 0b1)]
+    # the second candidate passes the yes stage, so r=1 must give it a no part
+    candidates = [(0b100, None), (0b10, None if r == 0 else 0b10)]
+    filt, report = YesNoFilter.build_from_sketches(params, members, candidates)
+    assert (report.f_count, report.r_count) == (1, r)
+    got = filt.classify_sketches(list(zip("m", members)), list(zip("ab", candidates)))
+    assert got.true_positives == ["m"]
+    assert got.yes_stage_negatives == ["a"]
+    assert (got.no_stage_rejections, got.residual_false_positives) == \
+           ((["b"], []) if r else ([], ["b"]))
 
 
 def test_members_always_positive_with_guard():
@@ -430,3 +457,100 @@ def test_classify_and_contains_obey_an_overriding_query_sketch():
     assert filt.classify(members, candidates).false_negatives == []
     assert stub.classify(members, candidates).false_negatives == [members[0]]
     assert not stub.contains(members[0])
+
+    class Records(YesNoFilter):
+        __slots__ = ("shown",)
+
+        def query_sketch(self, s):
+            self.shown.append(s)
+            return super().query_sketch(s)
+
+    # an override is shown the full sketch, except that a yes-stage
+    # negative's no part is None
+    yes_mask = filt.yes_filter.as_int()
+    probes = members + candidates
+    full = Sketcher(params, seed=3).sketch_many(probes)
+    expected = [(y, None if y & yes_mask != y else no) for y, no in full]
+    assert 0 < sum(no is None for _, no in expected) < len(probes) - len(members)
+    recorder = Records(params, filt.yes_filter, filt.no_filters, seed=3)
+    recorder.shown = []
+    recorder.classify(members, candidates)
+    assert recorder.shown == expected
+    recorder.shown = []
+    assert [recorder.contains(e) for e in probes] == [filt.contains(e) for e in probes]
+    assert recorder.shown == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(
+           st.tuples(geometries, element_sets, element_sets).map(
+               lambda g: (g[0], sorted(g[1]), sorted(g[2] - g[1]))),
+           st.tuples(_saturating(1, 12, 20), st.integers(0, 200),
+                     st.integers(0, 2**32)).map(
+               lambda g: (g[0][:5], list(range(g[2], g[2] + g[0][5])),
+                          list(range(g[2] + g[0][5], g[2] + g[0][5] + g[1]))))),
+       seed=st.integers(0, 2**32 - 1), mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       guard=st.booleans())
+def test_property_kernels_match_the_full_sketch_oracle(case, seed, mode, guard):
+    """The kernels hash a no part only where it is read; fed the full sketch
+    of every element, the construction and classification cores must agree."""
+    (p, q, r, k, k_prime), members, candidates = case
+    params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
+    sk = Sketcher(params, seed, mode)
+    member_pairs = list(zip(members, sk.sketch_many(members)))
+    candidate_pairs = list(zip(candidates, sk.sketch_many(candidates)))
+    filt, report = YesNoFilter.build_from_sketches(
+        params, [s for _, s in member_pairs], [s for _, s in candidate_pairs],
+        seed=seed, mode=mode)
+    classification = filt.classify_sketches(member_pairs, candidate_pairs)
+
+    assert YesNoFilter.build_and_classify(params, members, candidates, seed, mode) == \
+           (filt, report, classification)
+    built, built_report = YesNoFilter.build(params, members, candidates, seed, mode)
+    assert (built, built_report) == (filt, report)
+    assert built.classify(members, candidates) == classification
+    fresh = [f"fresh-{i}" for i in range(20)]
+    assert [built.query(e) for e in members + candidates + fresh] == \
+           [filt.query_sketch(s) for s in sk.sketch_many(members + candidates + fresh)]
+
+
+def _record_walks(monkeypatch):
+    """(count, range_size, items) of every HashFamily.encoded_masks call."""
+    walks = []
+    walk = HashFamily.encoded_masks
+
+    def recording(family, datas):
+        walks.append((family.count, family.range_size, len(datas)))
+        return walk(family, datas)
+
+    monkeypatch.setattr(HashFamily, "encoded_masks", recording)
+    return walks
+
+
+@pytest.mark.parametrize("r", [0, 2])
+def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
+    params = YesNoParams.of(p=40, q=8, r=r, k=3, k_prime=3 if r else 0)
+    members = [f"name-{i}" for i in range(12)]
+    candidates = [f"probe-{i}" for i in range(200)]
+    walks = _record_walks(monkeypatch)
+
+    def walked():
+        """Items each family walked since the last call: (yes, no)."""
+        items = [sum(n for _, size, n in walks if size == part)
+                 for part in (params.p, params.q)]
+        walks.clear()
+        return tuple(items)
+
+    filt, report, got = YesNoFilter.build_and_classify(params, members, candidates)
+    assert 0 < report.f_count < len(candidates)
+    hits = len(members) + report.f_count if r else 0
+    assert walked() == (len(members) + len(candidates), hits)
+    YesNoFilter.build(params, members, candidates)
+    assert walked() == (len(members) + len(candidates), hits)
+    filt.classify(members, candidates)
+    assert walked() == (len(members) + len(candidates), hits)
+
+    assert not filt.contains(got.yes_stage_negatives[0])
+    assert walked() == (1, 0)
+    assert filt.contains(members[0])
+    assert walked() == (1, 1 if r else 0)
