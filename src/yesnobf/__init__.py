@@ -23,11 +23,9 @@ from .analysis import (
 from .bitcore import (
     MODE_DOUBLE,
     MODE_RANDOM,
-    BitVector,
     BloomFilter,
     HashFamily,
     derive_seed,
-    is_subset,
 )
 from .yesno import (
     Classification,
@@ -40,7 +38,7 @@ from .yesno import (
 )
 
 __all__ = [
-    "BitVector", "HashFamily", "BloomFilter", "is_subset", "derive_seed",
+    "HashFamily", "BloomFilter", "derive_seed",
     "MODE_RANDOM", "MODE_DOUBLE",
     "FilterShape", "PrResult", "bit_zero_prob", "fp_prob_exact",
     "fp_prob_approx", "pr_positive", "pr_false_positive", "pr_E",

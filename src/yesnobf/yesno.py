@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .bitcore import MODE_RANDOM, BitVector, HashFamily, element_to_bytes
+from .bitcore import MODE_RANDOM, HashFamily, element_to_bytes
 
 
 @dataclass(frozen=True)
@@ -197,28 +197,29 @@ def _check_disjoint_sets(members, candidates):
 
 
 class YesNoFilter:
-    """Built two-stage filter; treat as immutable once constructed."""
+    """Built two-stage filter; treat as immutable once constructed.
 
-    __slots__ = ("params", "seed", "mode", "yes_filter", "no_filters",
-                 "_sketcher", "_yes_mask", "_no_masks")
+    yes_filter is the p-bit yes filter and no_filters the r q-bit no
+    filters, each an int mask with bit i for position i.
+    """
 
-    def __init__(self, params: YesNoParams, yes_filter: BitVector,
-                 no_filters: list[BitVector], seed: int = 0,
+    __slots__ = ("params", "seed", "mode", "yes_filter", "no_filters", "_sketcher")
+
+    def __init__(self, params: YesNoParams, yes_filter: int,
+                 no_filters: list[int], seed: int = 0,
                  mode: str = MODE_RANDOM):
-        if yes_filter.length != params.p:
-            raise ValueError("yes_filter length does not match params.p")
+        if yes_filter < 0 or yes_filter >> params.p:
+            raise ValueError("yes_filter does not fit in params.p bits")
         if len(no_filters) != params.r:
             raise ValueError("expected exactly r no-filters")
-        if any(nf.length != params.q for nf in no_filters):
-            raise ValueError("every no-filter must have length params.q")
+        if any(nf < 0 or nf >> params.q for nf in no_filters):
+            raise ValueError("every no-filter must fit in params.q bits")
         self.params = params
         self.seed = seed
         self.mode = mode
         self.yes_filter = yes_filter
         self.no_filters = list(no_filters)
         self._sketcher = None  # made on first query, or handed over by a build
-        self._yes_mask = yes_filter.as_int()
-        self._no_masks = [nf.as_int() for nf in no_filters]
 
     @classmethod
     def build(cls, params: YesNoParams, members, candidates, seed: int = 0,
@@ -352,11 +353,7 @@ class YesNoFilter:
             unmitigated=f_count - r_count,
             per_no_filter_load=tuple(loads),
         )
-        built = cls(params,
-                    BitVector(params.p, yes_mask),
-                    [BitVector(params.q, nm) for nm in no_masks],
-                    seed=seed, mode=mode)
-        return built, report
+        return cls(params, yes_mask, no_masks, seed=seed, mode=mode), report
 
     def query_sketch(self, s: ElementSketch) -> QueryResult:
         """Two-stage decision for an element already sketched with
@@ -368,9 +365,9 @@ class YesNoFilter:
         every element when r is 0.
         """
         y, fno = s
-        if y & self._yes_mask != y:
+        if y & self.yes_filter != y:
             return _NEGATIVE_YES_STAGE
-        for nm in self._no_masks:
+        for nm in self.no_filters:
             if fno & nm == fno:
                 return _NEGATIVE_NO_STAGE
         return _POSITIVE
@@ -381,7 +378,7 @@ class YesNoFilter:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
         datas = (element_to_bytes(element),)
         y = sk.yes_family.encoded_masks(datas)[0]
-        if y & self._yes_mask == y and self._no_masks:
+        if y & self.yes_filter == y and self.no_filters:
             return self.query_sketch((y, sk.no_family.encoded_masks(datas)[0]))
         return self.query_sketch((y, None))
 
@@ -402,7 +399,7 @@ class YesNoFilter:
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
         member_sketches, candidate_sketches = sk._sketch_sets(
-            member_list, candidate_list, self._yes_mask)
+            member_list, candidate_list, self.yes_filter)
         return self.classify_sketches(
             list(zip(member_list, member_sketches)),
             list(zip(candidate_list, candidate_sketches)))
@@ -433,9 +430,11 @@ class YesNoFilter:
         return out
 
     def to_bitstring(self) -> str:
-        """All m bits: yes-filter first, then each no-filter in order."""
-        parts = [self.yes_filter.to_bitstring()]
-        parts.extend(nf.to_bitstring() for nf in self.no_filters)
+        """All m bits as '0'/'1', character i being bit i: the yes-filter
+        first, then each no-filter in order."""
+        params = self.params
+        parts = [format(self.yes_filter, f"0{params.p}b")[::-1]]
+        parts.extend(format(nf, f"0{params.q}b")[::-1] for nf in self.no_filters)
         return "".join(parts)
 
     @classmethod
@@ -443,12 +442,13 @@ class YesNoFilter:
                        mode: str = MODE_RANDOM) -> YesNoFilter:
         if len(text) != params.m:
             raise ValueError(f"expected {params.m} bits, got {len(text)}")
-        yes = BitVector.from_bitstring(text[:params.p])
-        no_filters = []
-        for j in range(params.r):
-            start = params.p + j * params.q
-            no_filters.append(BitVector.from_bitstring(text[start:start + params.q]))
-        return cls(params, yes, no_filters, seed=seed, mode=mode)
+        # checked here, since int(text, 2) also accepts "_" and spaces
+        if set(text) - {"0", "1"}:
+            raise ValueError("bit string must hold only 0s and 1s")
+        bits = int(text[::-1], 2)
+        p, q = params.p, params.q
+        no_filters = [(bits >> (p + j * q)) & ((1 << q) - 1) for j in range(params.r)]
+        return cls(params, bits & ((1 << p) - 1), no_filters, seed=seed, mode=mode)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, YesNoFilter):

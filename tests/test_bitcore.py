@@ -1,4 +1,4 @@
-"""Bit vector, hash family, and classic Bloom filter behavior."""
+"""Hash family and classic Bloom filter behavior."""
 
 import struct
 from fractions import Fraction
@@ -12,68 +12,16 @@ from hypothesis import strategies as st
 from yesnobf.bitcore import (
     MODE_DOUBLE,
     MODE_RANDOM,
-    BitVector,
     BloomFilter,
     HashFamily,
     derive_seed,
     element_to_bytes,
-    is_subset,
 )
 
 # Pinned worked example: with this seed and element, the 13-bit yes family
 # hashes to positions (4, 1, 11) and the 2-bit single-hash family to (1).
 FIXTURE_SEED = 0
 FIXTURE_ELEMENT = 5063
-
-
-def test_bitvector_from_positions_and_back():
-    v = BitVector.from_positions(13, [4, 1, 11])
-    assert v.positions() == (1, 4, 11)
-    assert v.popcount() == 3
-    assert v.get(4) and v.get(1) and v.get(11)
-    assert not v.get(0)
-
-
-def test_bitvector_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        BitVector(0)
-    with pytest.raises(ValueError):
-        BitVector(4, 1 << 4)
-    with pytest.raises(ValueError):
-        BitVector.from_positions(4, [4])
-    with pytest.raises(ValueError):
-        BitVector(8).get(8)
-
-
-def test_bitstring_round_trip():
-    v = BitVector.from_positions(10, [0, 3, 9])
-    s = v.to_bitstring()
-    assert s == "1001000001"
-    assert BitVector.from_bitstring(s) == v
-    with pytest.raises(ValueError):
-        BitVector.from_bitstring("10a1")
-    with pytest.raises(ValueError):
-        BitVector.from_bitstring("")
-
-
-def test_subset_is_bitwise_conjunction():
-    # b_e is a subset of b_S exactly when b_e AND b_S == b_e
-    a = BitVector.from_positions(8, [1, 5])
-    b = BitVector.from_positions(8, [1, 3, 5])
-    assert is_subset(a, b)
-    assert not is_subset(b, a)
-    assert (a & b) == a
-    zero = BitVector(8)
-    assert is_subset(zero, a) and is_subset(zero, zero)
-    with pytest.raises(ValueError):
-        is_subset(a, BitVector(9))
-
-
-def test_or_and_require_equal_lengths():
-    with pytest.raises(ValueError):
-        BitVector(4) | BitVector(5)
-    with pytest.raises(ValueError):
-        BitVector(4) & BitVector(5)
 
 
 def test_element_to_bytes_separates_types():
@@ -118,24 +66,6 @@ def test_hash_family_pinned_positions():
     assert no_fam.positions(FIXTURE_ELEMENT) == [1]
 
 
-def test_hash_family_distinct_mode():
-    fam = HashFamily(8, 11, seed=3, distinct=True)
-    for element in range(50):
-        got = fam.positions(element)
-        assert len(set(got)) == 8
-    with pytest.raises(ValueError):
-        HashFamily(12, 11, distinct=True)
-
-
-def test_distinct_is_rejected_in_double_hashing_mode():
-    # an arithmetic progression repeats whenever its stride shares a factor
-    # with the range, so distinct cannot be honoured there
-    with pytest.raises(ValueError, match="double-hashing"):
-        HashFamily(5, 32, mode=MODE_DOUBLE, distinct=True)
-    with pytest.raises(ValueError, match="double-hashing"):
-        BloomFilter(32, 5, mode=MODE_DOUBLE, distinct=True)
-
-
 def test_double_hashing_mode_is_arithmetic_progression():
     fam = HashFamily(5, 97, mode=MODE_DOUBLE, seed=2)
     for element in (b"alpha", b"beta", 42):
@@ -151,7 +81,7 @@ def test_bloom_filter_insert_then_contains():
         bf.insert(element)
     assert all(bf.contains(element) for element in range(20))
     assert bf.inserted_count == 20
-    assert bf.vector.popcount() <= 3 * 20
+    assert bf.mask.bit_count() <= 3 * 20
 
 
 def test_empty_filter_contains_nothing():
@@ -162,13 +92,14 @@ def test_empty_filter_contains_nothing():
 def test_reinsert_does_not_change_bits():
     bf = BloomFilter(64, 3, seed=5)
     bf.insert("dup")
-    before = bf.vector.as_int()
+    before = bf.mask
     bf.insert("dup")
-    assert bf.vector.as_int() == before
+    assert bf.mask == before
     assert bf.inserted_count == 2
 
 
 def test_union_equals_sequential_insert():
+    # OR-ing two filters' masks gives the bits of inserting both sets
     left = BloomFilter(128, 4, seed=8)
     right = BloomFilter(128, 4, seed=8)
     both = BloomFilter(128, 4, seed=8)
@@ -178,14 +109,8 @@ def test_union_equals_sequential_insert():
     for element in range(10, 20):
         right.insert(element)
         both.insert(element)
-    assert left.union(right) == both
-    assert left.union(left) == left
-    empty = BloomFilter(128, 4, seed=8)
-    assert left.union(empty) == left
-    with pytest.raises(ValueError):
-        left.union(BloomFilter(128, 4, seed=9))
-    with pytest.raises(ValueError):
-        left.union(BloomFilter(64, 4, seed=8))
+    assert left.mask | right.mask == both.mask
+    assert left.mask | BloomFilter(128, 4, seed=8).mask == left.mask
 
 
 def test_membership_is_subset_of_vector():
@@ -193,8 +118,8 @@ def test_membership_is_subset_of_vector():
     for element in range(8):
         bf.insert(element)
     for element in range(200):
-        expected = is_subset(bf.element_vector(element), bf.vector)
-        assert bf.contains(element) == expected
+        element_mask = bf.family.element_mask(element)
+        assert bf.contains(element) == (element_mask & bf.mask == element_mask)
 
 
 def test_small_filter_fp_rate_matches_rational_oracle():
@@ -229,12 +154,12 @@ elements = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
                      st.text(max_size=12), st.binary(max_size=12))
 
 
-def _reference_positions(count, size, seed, distinct, element):
+def _reference_positions(count, size, seed, element):
     """Random-mode positions from the definition, one keyed blake2b call per
     block: the stream is the 64-byte digests of the encoded element + u32
     block number for blocks 0, 1, ..., read as little-endian u64 chunks;
-    each chunk mod size is a position, skipped under distinct if taken."""
-    key = struct.pack("<QQQB", seed, count, size, 2 if distinct else 0)
+    each chunk mod size is a position."""
+    key = struct.pack("<QQQB", seed, count, size, 0)
     if isinstance(element, bytes):
         data = b"b" + element
     elif isinstance(element, str):
@@ -250,49 +175,39 @@ def _reference_positions(count, size, seed, distinct, element):
                          digest_size=64).digest()
         for j in range(0, 64, 8):
             pos = int.from_bytes(digest[j:j + 8], "little") % size
-            if len(taken) < count and not (distinct and pos in taken):
+            if len(taken) < count:
                 taken.append(pos)
         block += 1
     return taken
 
 
 @settings(max_examples=150, deadline=None)
-@given(count=st.integers(0, 20), size=st.integers(1, 300), distinct=st.booleans(),
+@given(count=st.integers(0, 20), size=st.integers(1, 300),
        seed=st.integers(0, 2**64 - 1),
        element=st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
                          st.binary(max_size=12)))
-@example(count=20, size=300, distinct=False, seed=1, element=2**70)
-@example(count=16, size=16, distinct=True, seed=3, element="link")
-@example(count=9, size=64, distinct=True, seed=0, element=b"raw")
+@example(count=20, size=300, seed=1, element=2**70)
 # one digest block, then the first chunk of a second one
-@example(count=8, size=300, distinct=False, seed=5, element="edge")
-@example(count=9, size=300, distinct=False, seed=5, element="edge")
-def test_element_mask_matches_reference_stream(count, size, distinct, seed, element):
-    if distinct and count > size:
-        count = size
-    fam = HashFamily(count, size, seed=seed, distinct=distinct)
-    expected = _reference_positions(count, size, seed, distinct, element)
+@example(count=8, size=300, seed=5, element="edge")
+@example(count=9, size=300, seed=5, element="edge")
+def test_element_mask_matches_reference_stream(count, size, seed, element):
+    fam = HashFamily(count, size, seed=seed)
+    expected = _reference_positions(count, size, seed, element)
     assert fam.positions(element) == expected
     assert fam.element_mask(element) == sum(1 << pos for pos in set(expected))
 
 
 @settings(max_examples=150, deadline=None)
 @given(count=st.integers(0, 20), size=st.integers(1, 500),
-       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]), distinct=st.booleans(),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
        seed=st.integers(0, 2**64 - 1), batch=st.lists(elements, max_size=12))
 # one digest block per element, then two; and an empty list
-@example(count=8, size=500, mode=MODE_RANDOM, distinct=False, seed=5,
-         batch=["edge", 7, b"raw"])
-@example(count=9, size=500, mode=MODE_RANDOM, distinct=False, seed=5,
-         batch=["edge", 7, b"raw"])
-@example(count=9, size=64, mode=MODE_RANDOM, distinct=True, seed=0, batch=["edge"])
-@example(count=4, size=1, mode=MODE_DOUBLE, distinct=False, seed=0, batch=[3])
-@example(count=5, size=100, mode=MODE_RANDOM, distinct=False, seed=0, batch=[])
-def test_encoded_masks_is_encoded_mask_per_item(count, size, mode, distinct, seed, batch):
-    distinct = distinct and mode == MODE_RANDOM
-    if distinct and count > size:
-        count = size
-    fam = HashFamily(count, size, mode=mode, seed=seed, distinct=distinct)
+@example(count=8, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
+@example(count=9, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
+@example(count=4, size=1, mode=MODE_DOUBLE, seed=0, batch=[3])
+@example(count=5, size=100, mode=MODE_RANDOM, seed=0, batch=[])
+def test_encoded_masks_is_encoded_mask_per_item(count, size, mode, seed, batch):
+    fam = HashFamily(count, size, mode=mode, seed=seed)
     datas = [element_to_bytes(e) for e in batch]
     assert fam.encoded_masks(datas) == [fam.encoded_mask(d) for d in datas]
 
@@ -320,7 +235,7 @@ def test_insertion_is_monotone(first, second, seed):
         large.insert(element)
     for element in second:
         large.insert(element)
-    assert is_subset(small.vector, large.vector)
+    assert small.mask & large.mask == small.mask
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,7 +248,7 @@ def test_union_is_disjunction(first, second, seed):
         left.insert(element)
     for element in second:
         right.insert(element)
-    union = left.union(right)
-    assert union.vector.as_int() == (left.vector.as_int() | right.vector.as_int())
+    union = BloomFilter(64, 4, seed=seed)
+    union.mask = left.mask | right.mask
     for element in first + second:
         assert union.contains(element)

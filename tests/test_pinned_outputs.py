@@ -1,11 +1,13 @@
-"""Pinned digests of the sweep and topology CSVs and of saturated builds.
+"""Pinned digests of the sweep and topology CSVs, of saturated builds and
+of serialized filters.
 
 The CSV digests were taken from the code as it stood before the trial
-kernel was shared, and the saturated-build digest from the plain first-fit
-loop before refused no-bits were cached, so any change to hashing,
-construction, classification or CSV formatting shows here. A change that
-alters these outputs on purpose updates the digest and says why in
-CHANGES.md.
+kernel was shared, the saturated-build digest from the plain first-fit
+loop before refused no-bits were cached, and the bit-string digests from
+the filter as it stood when its parts were bit-vector objects. So any
+change to hashing, construction, classification, CSV formatting or the
+bit-string layout shows here. A change that alters these outputs on
+purpose updates the digest and says why in CHANGES.md.
 """
 
 import hashlib
@@ -46,6 +48,26 @@ TOPOLOGY_DIGESTS = {
 
 SATURATED_DIGEST = "dac0356a9a2944d739ddc8dccfc5d5951ab2178b6c4b84eef551009d0f1cb612"
 
+# (geometry, seed, mode) -> digest of to_bitstring(). A round trip alone
+# would pass a layout that reversed the bit order on both sides.
+DEMO_BUILD = (YesNoParams.of(p=20, q=8, r=2, k=3, k_prime=2),
+              ["frog", "newt", "toad", "axolotl", "olm", "siren"],
+              ["heron", "stork", "crane", "egret", "ibis", "spoonbill",
+               "pelican", "shoebill", "bittern", "flamingo", "avocet", "godwit"])
+ROUND_TRIP_BUILD = (YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3),
+                    [f"name-{i}" for i in range(12)],
+                    [f"probe-{i}" for i in range(60)])
+BITSTRING_DIGESTS = {
+    ("demo", 0, MODE_RANDOM):
+        "d2dd3634ce5c23ddb661f42338dea81821dd14f90f8e823ecc6ea3ca7fc48406",
+    ("demo", 7, MODE_RANDOM):
+        "078e4effd6dd23d984fecd7aa27f3e9ab16dbd923f22e81a9f559ae2e113918f",
+    ("round_trip", 3, MODE_RANDOM):
+        "d99a233ed098da5eb78dffbd750d055de0cf4a5f4d6c6522bdd43dbfa07fe6d8",
+    ("round_trip", 3, MODE_DOUBLE):
+        "56ebfe4b856dcd1f629337c5542a91331dd93a657b85964222bb33ec8ba1ed21",
+}
+
 SWEEP_RANGES = {"r_fixed_m": (0, 6), "k": (1, 10), "k_prime": (1, 10)}
 
 
@@ -83,7 +105,16 @@ def test_saturated_builds_are_pinned():
         built, report = YesNoFilter.build_from_sketches(
             params, rng.sample(routes, 60), flows[b * 100:b * 100 + 2000], seed=17)
         rows.append((report.f_count, report.r_count, report.per_no_filter_load,
-                     built.yes_filter.as_int(),
-                     tuple(nf.as_int() for nf in built.no_filters)))
+                     built.yes_filter, tuple(built.no_filters)))
     assert all(f_count > r_count for f_count, r_count, *_ in rows)  # saturated
     assert _digest(repr(rows)) == SATURATED_DIGEST
+
+
+@pytest.mark.parametrize("geometry, seed, mode", sorted(BITSTRING_DIGESTS))
+def test_bitstrings_are_pinned(geometry, seed, mode):
+    params, members, candidates = {"demo": DEMO_BUILD,
+                                   "round_trip": ROUND_TRIP_BUILD}[geometry]
+    built, _ = YesNoFilter.build(params, members, candidates, seed=seed, mode=mode)
+    text = built.to_bitstring()
+    assert _digest(text) == BITSTRING_DIGESTS[geometry, seed, mode]
+    assert YesNoFilter.from_bitstring(params, text, seed=seed, mode=mode) == built

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from yesnobf.bitcore import (
     MODE_DOUBLE,
     MODE_RANDOM,
-    BitVector,
     BloomFilter,
     HashFamily,
     element_to_bytes,
-    is_subset,
 )
 from yesnobf.yesno import (
     ConstructionReport,
@@ -24,6 +22,21 @@ from yesnobf.yesno import (
 FIXTURE_SEED = 0
 FIXTURE_ELEMENT = 5063
 FIXTURE_PARAMS = YesNoParams.of(p=13, q=2, r=2, k=3, k_prime=1)
+
+
+def _mask(length, positions):
+    """The int mask with the given bits set, each checked to be below length."""
+    mask = 0
+    for pos in positions:
+        if not 0 <= pos < length:
+            raise ValueError(f"position {pos} out of range [0, {length})")
+        mask |= 1 << pos
+    return mask
+
+
+def _positions(mask):
+    """Indices of the set bits of an int mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def test_params_arithmetic_and_fields():
@@ -49,9 +62,8 @@ def test_params_rejects_bad_geometry(kwargs):
 
 def test_pinned_sketch():
     yes_part, no_part = Sketcher(FIXTURE_PARAMS, seed=FIXTURE_SEED).sketch(FIXTURE_ELEMENT)
-    # BitVector rejects bits beyond its length, so each part fits its filter
-    assert BitVector(FIXTURE_PARAMS.p, yes_part).positions() == (1, 4, 11)
-    assert BitVector(FIXTURE_PARAMS.q, no_part).positions() == (1,)
+    assert _positions(yes_part) == (1, 4, 11)
+    assert _positions(no_part) == (1,)
 
 
 def test_sketch_parts_are_the_family_masks():
@@ -91,8 +103,7 @@ def test_sketch_many_rejects_unsupported_ids():
 
 
 def _sk(p, q, yes_bits, no_bits):
-    return (BitVector.from_positions(p, yes_bits).as_int(),
-            BitVector.from_positions(q, no_bits).as_int())
+    return _mask(p, yes_bits), _mask(q, no_bits)
 
 
 class TestHandWalkedConstruction:
@@ -122,9 +133,9 @@ class TestHandWalkedConstruction:
 
     def test_final_bit_patterns(self):
         filt, _ = self._build()
-        assert filt.yes_filter.positions() == (0, 1, 2, 3)
-        assert filt.no_filters[0].positions() == (0, 2)
-        assert filt.no_filters[1].positions() == (1, 3)
+        assert _positions(filt.yes_filter) == (0, 1, 2, 3)
+        assert _positions(filt.no_filters[0]) == (0, 2)
+        assert _positions(filt.no_filters[1]) == (1, 3)
 
     def test_query_outcomes(self):
         filt, _ = self._build()
@@ -229,8 +240,9 @@ def test_guard_keeps_member_patterns_uncovered():
     filt, report = YesNoFilter.build(params, members, candidates, seed=0)
     sk = Sketcher(params, seed=0)
     for e in members:
+        no_part = sk.sketch(e)[1]
         for nf in filt.no_filters:
-            assert not is_subset(BitVector(params.q, sk.sketch(e)[1]), nf)
+            assert no_part & nf != no_part
     assert all(filt.contains(e) for e in members)
 
 
@@ -260,7 +272,7 @@ def test_zero_no_filters_degenerate_to_plain_bloom():
     reference = BloomFilter(64, 3, seed=7)
     for e in members:
         reference.insert(e)
-    assert filt.yes_filter == reference.vector
+    assert filt.yes_filter == reference.mask
     for e in members + candidates + [f"fresh-{i}" for i in range(200)]:
         assert filt.contains(e) == reference.contains(e)
 
@@ -283,14 +295,26 @@ def test_serialization_round_trip():
 
 def test_constructor_validates_part_lengths():
     params = YesNoParams.of(p=8, q=4, r=2, k=2, k_prime=2)
-    yes = BitVector(8)
-    good = [BitVector(4), BitVector(4)]
+    full_yes, full_no = (1 << 8) - 1, (1 << 4) - 1
+    YesNoFilter(params, full_yes, [full_no, full_no])  # widest masks that fit
     with pytest.raises(ValueError):
-        YesNoFilter(params, BitVector(9), good)
+        YesNoFilter(params, 1 << 8, [0, 0])
     with pytest.raises(ValueError):
-        YesNoFilter(params, yes, [BitVector(4)])
+        YesNoFilter(params, -1, [0, 0])
     with pytest.raises(ValueError):
-        YesNoFilter(params, yes, [BitVector(4), BitVector(5)])
+        YesNoFilter(params, 0, [0])
+    with pytest.raises(ValueError):
+        YesNoFilter(params, 0, [0, 1 << 4])
+
+
+@pytest.mark.parametrize("bad", ["_", " ", "+", "2"])
+def test_from_bitstring_rejects_other_characters(bad):
+    # int(text, 2) would take "_" between digits and spaces around them
+    params = YesNoParams.of(p=8, q=4, r=2, k=2, k_prime=2)
+    for at in (0, 5, params.m - 1):
+        text = "1" * at + bad + "1" * (params.m - at - 1)
+        with pytest.raises(ValueError):
+            YesNoFilter.from_bitstring(params, text)
 
 
 # --- properties ----------------------------------------------------------
@@ -409,8 +433,8 @@ def test_property_build_matches_plain_first_fit(shape, t, base, seed, mode, guar
     built, report = YesNoFilter.build_from_sketches(params, members, candidates,
                                                     seed=seed, mode=mode)
     yes_mask, no_masks, expected = _plain_first_fit(params, members, candidates)
-    assert built.yes_filter.as_int() == yes_mask
-    assert [nf.as_int() for nf in built.no_filters] == no_masks
+    assert built.yes_filter == yes_mask
+    assert built.no_filters == no_masks
     assert report == expected
 
 
@@ -467,7 +491,7 @@ def test_classify_and_contains_obey_an_overriding_query_sketch():
 
     # an override is shown the full sketch, except that a yes-stage
     # negative's no part is None
-    yes_mask = filt.yes_filter.as_int()
+    yes_mask = filt.yes_filter
     probes = members + candidates
     full = Sketcher(params, seed=3).sketch_many(probes)
     expected = [(y, None if y & yes_mask != y else no) for y, no in full]
