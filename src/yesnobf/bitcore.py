@@ -80,9 +80,15 @@ class HashFamily:
         # keyed once; each digest copies it, skipping the key block's compression
         self._hasher = blake2b(key=self._key,
                                digest_size=16 if mode == MODE_DOUBLE else 64)
-        # A random-mode walk takes exactly the first count chunks, so its blocks and their unpacker are fixed by the shape.
-        self._suffixes = tuple(block.to_bytes(4, "little")
-                               for block in range(-(-count // 8)))
+        # An element's digests are of its encoding + each suffix. A random-mode
+        # walk takes exactly the first count chunks of blocks
+        # 0 .. ceil(count/8)-1, so its blocks and their unpacker are fixed by
+        # the shape; a double-hashing walk takes one unsuffixed digest.
+        if mode == MODE_DOUBLE:
+            self._suffixes = (b"",) if count else ()
+        else:
+            self._suffixes = tuple(block.to_bytes(4, "little")
+                                   for block in range(-(-count // 8)))
         self._unpack = struct.Struct(f"<{count}Q").unpack_from
 
     def positions(self, element) -> list[int]:
@@ -123,6 +129,27 @@ class HashFamily:
                 mask |= 1 << c % size
             masks.append(mask)
         return masks
+
+    def digests(self, datas) -> bytes:
+        """The digests each element's walk reads, elements end to end, for
+        elements already encoded by element_to_bytes.
+
+        Per element, random mode gives blocks 0 .. ceil(count/8)-1 of 64
+        bytes, whose first count little-endian 64-bit chunks c give the
+        positions c % range_size. Double-hashing mode gives one 16-byte
+        digest, its chunks h1 and h2, or nothing when count is 0. For
+        callers that reduce many elements' chunks to masks at once.
+        """
+        hasher = self._hasher
+        suffixes = self._suffixes
+        out = []
+        append = out.append
+        for data in datas:
+            for suffix in suffixes:
+                h = hasher.copy()
+                h.update(data + suffix)
+                append(h.digest())
+        return b"".join(out)
 
     def encoded_mask(self, data: bytes, out: list | None = None) -> int:
         """element_mask of an element already encoded by element_to_bytes.

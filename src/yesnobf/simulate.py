@@ -19,10 +19,18 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
-from .bitcore import MODE_RANDOM, derive_seed
-from .yesno import Classification, ConstructionReport, YesNoFilter, YesNoParams
+from .bitcore import MODE_DOUBLE, MODE_RANDOM, derive_seed
+from .yesno import (
+    Classification,
+    ConstructionReport,
+    Sketcher,
+    YesNoFilter,
+    YesNoParams,
+    _check_disjoint_sets,
+)
 
 SWEPT_CHOICES = ("k", "k_prime", "n", "q", "r_fixed_p", "r_fixed_m")
 
@@ -30,6 +38,13 @@ CSV_HEADER = ("swept", "value", "mean_fp", "std_fp", "min", "q25", "median",
               "q75", "max", "baseline_bf_m", "baseline_bf_p")
 
 _UNIVERSE = 1 << 64
+
+# Trials sketched in one batched pass. The pass holds its trials' ids,
+# digests, mask rows and sketches at once, ~85 KB a trial at the default
+# geometry, so this bounds a point's memory whatever its trial count.
+# 16 trials already spread numpy's per-call cost over ~2,000 elements; at
+# 128 a sweep's peak RSS rose by a third.
+_CHUNK_TRIALS = 16
 
 
 def draw_elements(trial_seed: int, n: int, t: int) -> tuple[list[int], list[int]]:
@@ -50,14 +65,122 @@ def draw_elements(trial_seed: int, n: int, t: int) -> tuple[list[int], list[int]
     return drawn[:n], drawn[n:]
 
 
+def _hash_rows(stream: bytes, items: int, count: int, size: int, mode: str):
+    """The masks of items elements as uint8 rows of ceil(size/8) bytes,
+    bit i of a row (byte 0 lowest) set for position i.
+
+    stream holds the elements' digests end to end, as HashFamily.digests
+    gives them for a family of this count, range size and mode; the rows
+    are the masks HashFamily.encoded_masks reads from the same digests.
+    """
+    import numpy as np
+
+    width = (size + 7) // 8
+    rows = np.zeros(items * width, np.uint8)
+    if count and items:
+        chunks = np.frombuffer(stream, "<u8").reshape(items, -1)
+        size = np.uint64(size)
+        if mode == MODE_DOUBLE:
+            # position i is (a + i*b) % size with a = h1 % size and
+            # b = h2 % size or 1; stepping by b keeps every sum below 2 * size
+            step = chunks[:, 1] % size
+            step[step == 0] = 1
+            positions = np.empty((items, count), np.uint64)
+            positions[:, 0] = chunks[:, 0] % size
+            for i in range(1, count):
+                positions[:, i] = (positions[:, i - 1] + step) % size
+        else:
+            positions = chunks[:, :count] % size
+        # .at ORs a position repeated within an element once, as the int
+        # walk does
+        np.bitwise_or.at(
+            rows,
+            (positions >> 3).astype(np.intp)
+            + np.arange(0, items * width, width)[:, None],
+            np.left_shift(1, positions & 7).astype(np.uint8))
+    return rows.reshape(items, width)
+
+
+def _row_ints(rows) -> list[int]:
+    """Each uint8 row, byte 0 lowest, as the int it holds."""
+    # a bytes-string view drops a row's trailing zero bytes, which are its
+    # high zeros, so each value is unchanged
+    width = rows.shape[-1]
+    return list(map(int.from_bytes, rows.view(f"S{width}").ravel().tolist(),
+                    repeat("little")))
+
+
+def _encoded_ids(ids) -> list[bytes]:
+    """element_to_bytes of each 64-bit id, in one numpy pass: the tag
+    b"i", then the id's 8 bytes little-endian."""
+    import numpy as np
+
+    records = np.empty((len(ids), 9), np.uint8)
+    records[:, 0] = ord("i")
+    records[:, 1:] = np.array(ids, "<u8").view(np.uint8).reshape(-1, 8)
+    return records.view("V9").ravel().tolist()
+
+
+def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
+                    mode: str = MODE_RANDOM):
+    """Yield the (report, classification) of the trial at each seed, in
+    order.
+
+    The trials pass in chunks of _CHUNK_TRIALS. Each trial draws its ids
+    and checks them disjoint as YesNoFilter.build does, and its yes family
+    walks all of them with one digest walk. numpy reduces the chunk's
+    digests to yes masks, ORs each trial's members into its yes mask and
+    picks out the yes-stage hits; each trial's no family walks only its
+    hits, reduced the same way. Every trial then builds and classifies
+    through build_from_sketches and classify_sketches with the sketches
+    Sketcher._sketch_sets gives, so the outcomes are build_and_classify's.
+    """
+    import numpy as np
+
+    items = n + t
+    trial_seeds = iter(trial_seeds)
+    while seeds := list(islice(trial_seeds, _CHUNK_TRIALS)):
+        drawn = [_check_disjoint_sets(*draw_elements(trial_seed, n, t))
+                 for trial_seed in seeds]
+        encoded = _encoded_ids([e for members, candidates in drawn
+                                for e in members + candidates])
+        datas = [encoded[i * items:(i + 1) * items] for i in range(len(seeds))]
+        sketchers = [Sketcher(params, trial_seed, mode) for trial_seed in seeds]
+        rows = _hash_rows(
+            b"".join(sk.yes_family.digests(d) for sk, d in zip(sketchers, datas)),
+            len(seeds) * items, params.k, params.p, mode)
+        yes_parts = _row_ints(rows)
+        if params.r:
+            rows = rows.reshape(len(seeds), items, rows.shape[1])
+            yes_masks = np.bitwise_or.reduce(rows[:, :n], axis=1)
+            hit_rows = ~(rows & ~yes_masks[:, None]).any(axis=2)
+            hits = hit_rows.tolist()
+            no_parts = iter(_row_ints(_hash_rows(
+                b"".join(sk.no_family.digests(compress(d, h))
+                         for sk, d, h in zip(sketchers, datas, hits)),
+                int(hit_rows.sum()), params.k_prime, params.q, mode)))
+        for i, (trial_seed, (members, candidates)) in enumerate(zip(seeds, drawn)):
+            trial_yes = yes_parts[i * items:(i + 1) * items]
+            if params.r:
+                sketches = [(y, next(no_parts)) if hit else (y, None)
+                            for y, hit in zip(trial_yes, hits[i])]
+            else:
+                sketches = list(zip(trial_yes, repeat(None)))
+            member_sketches, candidate_sketches = sketches[:n], sketches[n:]
+            built, report = YesNoFilter.build_from_sketches(
+                params, member_sketches, candidate_sketches,
+                seed=trial_seed, mode=mode)
+            yield report, built.classify_sketches(
+                list(zip(members, member_sketches)),
+                list(zip(candidates, candidate_sketches)))
+
+
 def trial_outcome(params: YesNoParams, n: int, t: int, trial_seed: int,
                   mode: str = MODE_RANDOM
                   ) -> tuple[ConstructionReport, Classification]:
-    """One randomized build, fully classified."""
-    members, candidates = draw_elements(trial_seed, n, t)
-    _, report, outcome = YesNoFilter.build_and_classify(
-        params, members, candidates, trial_seed, mode)
-    return report, outcome
+    """One randomized build, fully classified: a one-trial run of the
+    batched pass a sweep point makes."""
+    return next(_trial_outcomes(params, n, t, (trial_seed,), mode))
 
 
 @dataclass(frozen=True)
@@ -183,7 +306,10 @@ def _comparison_hashes(config: SweepConfig, params: YesNoParams, value: int,
 
 def sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep; geometry errors become per-point error entries."""
-    import numpy as np  # here only: building and querying filters never need it
+    # numpy is confined to sweeps (the statistics here, the batched pass in
+    # _trial_outcomes): importing it costs ~12 MB, which building and
+    # querying filters, topology experiments included, never pay
+    import numpy as np
 
     points = []
     for index, value in enumerate(config.values()):
@@ -194,9 +320,10 @@ def sweep(config: SweepConfig) -> SweepResult:
             continue
         counts = np.empty(config.trials, dtype=np.int64)
         fn_total = 0
-        for trial in range(config.trials):
-            trial_seed = derive_seed(config.seed, index, trial)
-            outcome = trial_outcome(params, n, config.t, trial_seed, config.mode)[1]
+        seeds = (derive_seed(config.seed, index, trial)
+                 for trial in range(config.trials))
+        outcomes = _trial_outcomes(params, n, config.t, seeds, config.mode)
+        for trial, (_, outcome) in enumerate(outcomes):
             counts[trial] = outcome.fp_count
             fn_total += len(outcome.false_negatives)
         quartiles = np.quantile(counts, (0.25, 0.5, 0.75))

@@ -2,14 +2,28 @@
 
 import csv
 import io
+import os
 import random
+import struct
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from yesnobf import simulate
 from yesnobf.analysis import FilterShape, expected_fp_count, fp_prob_exact
-from yesnobf.bitcore import BloomFilter, derive_seed
+from yesnobf.bitcore import (
+    MODE_DOUBLE,
+    MODE_RANDOM,
+    BloomFilter,
+    HashFamily,
+    derive_seed,
+    element_to_bytes,
+)
 from yesnobf.simulate import (
     CSV_HEADER,
     SweepConfig,
@@ -18,7 +32,7 @@ from yesnobf.simulate import (
     sweep,
     trial_outcome,
 )
-from yesnobf.yesno import YesNoParams
+from yesnobf.yesno import YesNoFilter, YesNoParams
 
 SMALL = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3)
 
@@ -117,6 +131,113 @@ def test_zero_no_filters_trial_replays_as_classic_bloom():
             reference.insert(e)
         expected = sum(reference.contains(e) for e in candidates)
         assert trial_outcome(params, 12, 80, trial_seed)[1].fp_count == expected
+
+
+ids = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
+                st.binary(max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(0, 20), size=st.integers(1, 300),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       seed=st.integers(0, 2**64 - 1), batch=st.lists(ids, max_size=40))
+# count 9 reads a second digest block; sizes above 256 need a third byte
+# index bit; size 1 makes every double-mode h2 % size 0
+@example(count=9, size=300, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
+@example(count=20, size=257, mode=MODE_DOUBLE, seed=5, batch=["edge", 7, b"raw"])
+@example(count=5, size=1, mode=MODE_DOUBLE, seed=0, batch=[3, "x"])
+@example(count=0, size=9, mode=MODE_DOUBLE, seed=0, batch=[3, "x"])
+@example(count=4, size=100, mode=MODE_RANDOM, seed=0, batch=[])
+def test_numpy_reduction_is_encoded_masks(count, size, mode, seed, batch):
+    fam = HashFamily(count, size, mode=mode, seed=seed)
+    datas = [element_to_bytes(e) for e in batch]
+    stream = fam.digests(datas)
+    per_element = 64 * -(-count // 8) if mode == MODE_RANDOM else 16 * (count > 0)
+    assert len(stream) == per_element * len(datas)
+    rows = simulate._hash_rows(stream, len(datas), count, size, mode)
+    assert rows.shape == (len(datas), (size + 7) // 8)
+    assert simulate._row_ints(rows) == fam.encoded_masks(datas)
+
+
+def test_numpy_reduction_steps_by_one_where_h2_divides_the_size():
+    fam = HashFamily(6, 12, mode=MODE_DOUBLE, seed=0)
+    datas = [element_to_bytes(i) for i in range(100)]
+    stream = fam.digests(datas)
+    h2s = struct.unpack(f"<{2 * len(datas)}Q", stream)[1::2]
+    assert any(h2 % 12 == 0 for h2 in h2s)
+    rows = simulate._hash_rows(stream, len(datas), 6, 12, MODE_DOUBLE)
+    assert simulate._row_ints(rows) == fam.encoded_masks(datas)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+@example([0, 1, 2**63, 2**64 - 1])
+def test_encoded_ids_are_element_to_bytes(values):
+    assert simulate._encoded_ids(values) == [element_to_bytes(e) for e in values]
+
+
+def _one_at_a_time(params, n, t, seeds, mode):
+    """Each trial as the library builds one: draw, then the shared kernel."""
+    return [YesNoFilter.build_and_classify(params, *draw_elements(s, n, t), s, mode)[1:]
+            for s in seeds]
+
+
+# (p, q, r, k, k'): k' may be 0 only without no-filters
+pass_geometries = st.tuples(st.integers(1, 30), st.integers(1, 12), st.integers(0, 3),
+                            st.integers(1, 6), st.integers(0, 10)).filter(
+    lambda g: g[2] == 0 or g[4] > 0).map(lambda g: (g[0] + g[1],) + g[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=pass_geometries, n=st.integers(0, 25), t=st.integers(0, 60),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]), guard=st.booleans())
+@example(geometry=(40, 8, 0, 3, 0), n=10, t=40, seeds=[1, 2], mode=MODE_RANDOM,
+         guard=True)
+@example(geometry=(40, 8, 2, 3, 3), n=0, t=40, seeds=[1, 2], mode=MODE_DOUBLE,
+         guard=True)
+@example(geometry=(40, 8, 2, 3, 3), n=10, t=0, seeds=[1, 2], mode=MODE_RANDOM,
+         guard=False)
+def test_batched_pass_equals_one_trial_at_a_time(geometry, n, t, seeds, mode, guard):
+    params = YesNoParams.of(*geometry, allow_false_negatives=not guard)
+    got = list(simulate._trial_outcomes(params, n, t, seeds, mode))
+    assert got == _one_at_a_time(params, n, t, seeds, mode)
+
+
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
+def test_batched_pass_crosses_a_chunk_boundary(mode):
+    params = YesNoParams.of(p=24, q=6, r=2, k=3, k_prime=2)
+    seeds = [derive_seed(4, i) for i in range(simulate._CHUNK_TRIALS + 1)]
+    got = list(simulate._trial_outcomes(params, 8, 30, seeds, mode))
+    assert got == _one_at_a_time(params, 8, 30, seeds, mode)
+    assert any(report.r_count for report, _ in got)
+
+
+def test_numpy_stays_out_of_filters_and_topology():
+    """Importing numpy costs ~12 MB; only sweeps may pay it."""
+    script = """
+import sys
+import yesnobf
+from yesnobf.corpus import default_corpus
+from yesnobf.topology import PathExperiment, run_topology_experiment
+name, graph = default_corpus()[0]
+run_topology_experiment(PathExperiment.from_graph(name, graph, allocations=2), seed=1)
+params = yesnobf.YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3)
+filt, _ = yesnobf.YesNoFilter.build(params, range(10), range(10, 60), seed=1)
+assert all(filt.contains(e) for e in range(10))
+filt.classify(range(10), range(10, 60))
+bf = yesnobf.BloomFilter(64, 3, seed=1)
+bf.insert("x")
+assert bf.contains("x")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_config_validation():
