@@ -174,12 +174,7 @@ class HashFamily:
             for pos in taken:
                 mask |= 1 << pos
             return mask
-        stream = b""
-        for suffix in self._suffixes:
-            h = self._hasher.copy()
-            h.update(data + suffix)
-            stream += h.digest()
-        chunks = self._unpack(stream)
+        chunks = self._unpack(self.digests((data,)))
         for c in chunks:
             mask |= 1 << c % size
         if out is not None:

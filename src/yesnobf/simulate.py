@@ -122,7 +122,7 @@ def _encoded_ids(ids) -> list[bytes]:
 
 
 def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
-                    mode: str = MODE_RANDOM):
+                    mode: str):
     """Yield the (report, classification) of the trial at each seed, in
     order.
 
