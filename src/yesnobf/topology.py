@@ -21,8 +21,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bitcore import MODE_RANDOM, BloomFilter, derive_seed, element_to_bytes
-from .yesno import YesNoFilter, YesNoParams
+from .bitcore import MODE_RANDOM, HashFamily, derive_seed
+from .yesno import Sketcher, YesNoFilter, YesNoParams, _check_disjoint_sets, _encode
 
 DEFAULT_PARAMS = YesNoParams.of(p=192, q=32, r=2, k=4, k_prime=3)
 DEFAULT_K_BF = 6
@@ -272,8 +272,11 @@ class PathExperiment:
     def __post_init__(self):
         if self.allocations < 1:
             raise ValueError(f"allocations must be >= 1, got {self.allocations}")
-        if set(self.s_links) & set(self.t_links):
-            raise ValueError("s_links and t_links overlap")
+        if self.k_bf < 1:
+            raise ValueError(f"k_bf must be >= 1, got {self.k_bf}")
+        # ids, not links: "x"->"y->z" and "x->y"->"z" share the id x->y->z
+        _check_disjoint_sets([link.id for link in self.s_links],
+                             [link.id for link in self.t_links])
 
     @classmethod
     def from_graph(cls, name: str, graph: Graph, path=None,
@@ -306,22 +309,24 @@ class TopologyResult:
 def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
                             mode: str = MODE_RANDOM) -> TopologyResult:
     """Average both structures' false positives over fresh random
-    allocations; each allocation's stream comes from (seed, name, index)."""
+    allocations; each allocation's stream comes from (seed, name, index),
+    and its counts are build_and_classify's and those of a BloomFilter(m,
+    k_bf) holding S, asked about T. The ids are encoded once per call."""
     params = experiment.params
     s_ids = [link.id for link in experiment.s_links]
     t_ids = [link.id for link in experiment.t_links]
-    # the classic baseline hashes the encoded ids with its filter's family:
-    # inserting s_ids and asking contains() of each t_id gives these counts
-    s_datas = [element_to_bytes(e) for e in s_ids]
-    t_datas = [element_to_bytes(e) for e in t_ids]
+    s_datas, t_datas = _encode(s_ids), _encode(t_ids)
     yn_counts = []
     bf_counts = []
     for index in range(experiment.allocations):
         alloc_seed = derive_seed(seed, experiment.name, index)
-        yn_counts.append(YesNoFilter.build_and_classify(
-            params, s_ids, t_ids, alloc_seed, mode)[2].fp_count)
-        family = BloomFilter(params.m, experiment.k_bf, seed=alloc_seed,
-                             mode=mode).family
+        s_sketches, t_sketches = Sketcher(params, alloc_seed, mode)._sketch_sets(
+            s_datas, t_datas)
+        built, _ = YesNoFilter.build_from_sketches(
+            params, s_sketches, t_sketches, seed=alloc_seed, mode=mode)
+        yn_counts.append(built.classify_sketches(
+            list(zip(s_ids, s_sketches)), list(zip(t_ids, t_sketches))).fp_count)
+        family = HashFamily(experiment.k_bf, params.m, mode=mode, seed=alloc_seed)
         bf_mask = 0
         for mask in family.encoded_masks(s_datas):
             bf_mask |= mask

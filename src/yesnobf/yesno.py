@@ -89,22 +89,14 @@ class Sketcher:
         self.no_family = HashFamily(params.k_prime, params.q, mode=mode, seed=seed)
 
     def sketch(self, element) -> ElementSketch:
-        # a one-item walk per family; sketch_many's list and zip would
-        # cost a single element about a microsecond more
         datas = (element_to_bytes(element),)
         return (self.yes_family.encoded_masks(datas)[0],
                 self.no_family.encoded_masks(datas)[0])
 
-    def sketch_many(self, elements) -> list[ElementSketch]:
-        """sketch() of each element, in order: every element is encoded
-        once and each family walks the whole list in one batch."""
-        datas = [element_to_bytes(e) for e in elements]
-        return list(zip(self.yes_family.encoded_masks(datas),
-                        self.no_family.encoded_masks(datas)))
-
-    def _sketch_sets(self, members, candidates, yes_mask=None
+    def _sketch_sets(self, member_datas, candidate_datas, yes_mask=None
                      ) -> tuple[list[ElementSketch], list[ElementSketch]]:
-        """Sketches of both lists as a query reads them, the yes stage first.
+        """Sketches of two lists of element_to_bytes encodings as a query
+        reads them, the yes stage first.
 
         The yes family walks every element. The no family walks only the
         elements whose yes part passes yes_mask (by default the OR of the
@@ -112,10 +104,9 @@ class Sketcher:
         none when there are no no-filters: no query reads the no part of a
         yes-stage negative. Elements it does not walk get None as no part.
         """
-        datas = [element_to_bytes(e) for e in members]
-        datas += [element_to_bytes(e) for e in candidates]
+        datas = [*member_datas, *candidate_datas]
         yes_parts = self.yes_family.encoded_masks(datas)
-        n = len(members)
+        n = len(member_datas)
         if yes_mask is None:
             yes_mask = 0
             for y in yes_parts[:n]:
@@ -196,6 +187,10 @@ def _check_disjoint_sets(members, candidates):
     return member_list, candidate_list
 
 
+def _encode(elements) -> list[bytes]:
+    return [element_to_bytes(e) for e in elements]
+
+
 class YesNoFilter:
     """Built two-stage filter; treat as immutable once constructed.
 
@@ -233,7 +228,7 @@ class YesNoFilter:
         member_list, candidate_list = _check_disjoint_sets(members, candidates)
         sk = Sketcher(params, seed, mode)
         built, report = cls.build_from_sketches(
-            params, *sk._sketch_sets(member_list, candidate_list),
+            params, *sk._sketch_sets(_encode(member_list), _encode(candidate_list)),
             seed=seed, mode=mode)
         built._sketcher = sk
         return built, report
@@ -243,11 +238,11 @@ class YesNoFilter:
                            seed: int = 0, mode: str = MODE_RANDOM
                            ) -> tuple[YesNoFilter, ConstructionReport, Classification]:
         """build(), then classify() of the same two sets, sketching each
-        element once: the trial kernel of sweeps and topology experiments."""
+        element once: the reference that sweeps and topology reproduce."""
         member_list, candidate_list = _check_disjoint_sets(members, candidates)
         sk = Sketcher(params, seed, mode)
-        member_sketches, candidate_sketches = sk._sketch_sets(member_list,
-                                                              candidate_list)
+        member_sketches, candidate_sketches = sk._sketch_sets(
+            _encode(member_list), _encode(candidate_list))
         built, report = cls.build_from_sketches(
             params, member_sketches, candidate_sketches, seed=seed, mode=mode)
         built._sketcher = sk
@@ -399,7 +394,7 @@ class YesNoFilter:
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
         member_sketches, candidate_sketches = sk._sketch_sets(
-            member_list, candidate_list, self.yes_filter)
+            _encode(member_list), _encode(candidate_list), self.yes_filter)
         return self.classify_sketches(
             list(zip(member_list, member_sketches)),
             list(zip(candidate_list, candidate_sketches)))

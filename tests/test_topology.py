@@ -1,7 +1,12 @@
 """Graphs, path selection, link sets, and the topology benchmark."""
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from yesnobf import bitcore, topology, yesno
 from yesnobf.bitcore import MODE_DOUBLE, MODE_RANDOM, BloomFilter, derive_seed
 from yesnobf.corpus import default_corpus
 from yesnobf.topology import (
@@ -22,7 +27,7 @@ from yesnobf.topology import (
     write_edgelist,
     write_graphml,
 )
-from yesnobf.yesno import YesNoParams
+from yesnobf.yesno import YesNoFilter, YesNoParams
 
 
 def test_graph_normalizes_edges():
@@ -163,9 +168,23 @@ def test_experiment_validation():
     assert len(exp.s_links) == 3  # diameter of a 6-ring
     with pytest.raises(ValueError, match="allocations"):
         PathExperiment.from_graph("ring6", g, allocations=0)
+    with pytest.raises(ValueError, match="k_bf"):
+        PathExperiment.from_graph("ring6", g, k_bf=0)
     link = DirectedLink("a", "b")
     with pytest.raises(ValueError, match="overlap"):
         PathExperiment("broken", (link,), (link,))
+
+
+def test_experiment_rejects_links_sharing_an_id():
+    # "x"->"y->z" and "x->y"->"z" are distinct links with one id, x->y->z
+    g = Graph(edges=[("x", "y->z"), ("x->y", "z"), ("z", "x")])
+    with pytest.raises(ValueError, match="duplicate elements in the member set"):
+        PathExperiment.from_graph("clash", g, path=["x->y", "z", "x", "y->z"])
+    x_yz, xy_z = DirectedLink("x", "y->z"), DirectedLink("x->y", "z")
+    with pytest.raises(ValueError, match="duplicate elements in the queryable set"):
+        PathExperiment("clash", (DirectedLink("z", "x"),), (x_yz, xy_z))
+    with pytest.raises(ValueError, match="overlap"):
+        PathExperiment("clash", (x_yz,), (xy_z,))
 
 
 def test_run_experiment_is_deterministic():
@@ -273,3 +292,55 @@ def test_classic_baseline_counts_match_a_bloom_filter(name, k_bf, mode):
         expected.append(sum(bf.contains(e) for e in t_ids))
     assert res.bf_counts == tuple(expected)
     assert sum(expected) > 0
+
+
+@st.composite
+def path_experiments(draw):
+    """A random graph holding a random simple path, at a leaky geometry so
+    that both filters see false positives."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 12)))]
+    path = draw(st.permutations(nodes))[:draw(st.integers(2, len(nodes)))]
+    extra = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                          max_size=40))
+    graph = Graph(nodes, list(zip(path, path[1:])) + [e for e in extra if e[0] != e[1]])
+    params = YesNoParams.of(p=24, q=8, r=draw(st.integers(0, 3)), k=2,
+                            k_prime=draw(st.integers(1, 4)))
+    return PathExperiment.from_graph(
+        "random", graph, path=path, include_reverse=draw(st.booleans()),
+        params=params, k_bf=draw(st.integers(1, 4)), allocations=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exp=path_experiments(), seed=st.integers(0, 2**32),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]))
+def test_allocations_match_the_reference_kernel(exp, seed, mode):
+    res = run_topology_experiment(exp, seed=seed, mode=mode)
+    s_ids = [link.id for link in exp.s_links]
+    t_ids = [link.id for link in exp.t_links]
+    assert res.yesno_counts == tuple(
+        YesNoFilter.build_and_classify(exp.params, s_ids, t_ids,
+                                       derive_seed(seed, exp.name, i), mode)[2].fp_count
+        for i in range(exp.allocations))
+
+
+def test_link_ids_are_encoded_once_per_run(monkeypatch):
+    exp = PathExperiment.from_graph("ring10", _ring(10), allocations=50)
+    link_ids = {link.id for link in exp.s_links + exp.t_links}
+    encoded = Counter()
+    encode = bitcore.element_to_bytes
+
+    def recording(element):
+        encoded[element] += 1
+        return encode(element)
+
+    def no_check(*sets):
+        raise AssertionError("the run re-checked its link sets")
+
+    for module in (bitcore, yesno, topology):
+        monkeypatch.setattr(module, "element_to_bytes", recording, raising=False)
+    for module in (yesno, topology):
+        monkeypatch.setattr(module, "_check_disjoint_sets", no_check)
+    for _ in range(2):
+        encoded.clear()
+        run_topology_experiment(exp, seed=1)
+        assert {e: encoded[e] for e in link_ids} == dict.fromkeys(link_ids, 1)

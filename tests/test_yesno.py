@@ -87,19 +87,25 @@ ids = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
 @example(k=9, k_prime=8, mode=MODE_RANDOM, seed=1,
          elements=[2**64, 2**64 - 1, -1, 0, "", b"", "link"])
 @example(k=4, k_prime=9, mode=MODE_DOUBLE, seed=1, elements=[])
-def test_sketch_many_is_sketch_per_element(k, k_prime, mode, seed, elements):
+def test_sketch_is_the_walked_digest_stream(k, k_prime, mode, seed, elements):
     sk = Sketcher(YesNoParams.of(p=300, q=40, r=1, k=k, k_prime=k_prime), seed, mode)
     walked = [(sk.yes_family.encoded_mask(d), sk.no_family.encoded_mask(d))
               for d in map(element_to_bytes, elements)]
-    assert sk.sketch_many(elements) == [sk.sketch(e) for e in elements] == walked
+    assert [sk.sketch(e) for e in elements] == walked
 
 
-def test_sketch_many_rejects_unsupported_ids():
+def test_sketching_rejects_unsupported_ids():
     sk = Sketcher(FIXTURE_PARAMS, seed=FIXTURE_SEED)
     with pytest.raises(TypeError):
-        sk.sketch_many([1, 2.5])
-    with pytest.raises(TypeError):
         sk.sketch(2.5)
+    # the kernels encode after the disjointness check, before any hashing
+    with pytest.raises(TypeError):
+        YesNoFilter.build(FIXTURE_PARAMS, [1, 2.5], [3])
+    with pytest.raises(TypeError):
+        YesNoFilter.build_and_classify(FIXTURE_PARAMS, [1], [3, 2.5])
+    filt, _ = YesNoFilter.build(FIXTURE_PARAMS, [1], [3])
+    with pytest.raises(TypeError):
+        filt.classify([1], [2.5])
 
 
 def _sk(p, q, yes_bits, no_bits):
@@ -493,7 +499,8 @@ def test_classify_and_contains_obey_an_overriding_query_sketch():
     # negative's no part is None
     yes_mask = filt.yes_filter
     probes = members + candidates
-    full = Sketcher(params, seed=3).sketch_many(probes)
+    sk = Sketcher(params, seed=3)
+    full = [sk.sketch(e) for e in probes]
     expected = [(y, None if y & yes_mask != y else no) for y, no in full]
     assert 0 < sum(no is None for _, no in expected) < len(probes) - len(members)
     recorder = Records(params, filt.yes_filter, filt.no_filters, seed=3)
@@ -521,8 +528,8 @@ def test_property_kernels_match_the_full_sketch_oracle(case, seed, mode, guard):
     (p, q, r, k, k_prime), members, candidates = case
     params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
     sk = Sketcher(params, seed, mode)
-    member_pairs = list(zip(members, sk.sketch_many(members)))
-    candidate_pairs = list(zip(candidates, sk.sketch_many(candidates)))
+    member_pairs = [(e, sk.sketch(e)) for e in members]
+    candidate_pairs = [(e, sk.sketch(e)) for e in candidates]
     filt, report = YesNoFilter.build_from_sketches(
         params, [s for _, s in member_pairs], [s for _, s in candidate_pairs],
         seed=seed, mode=mode)
@@ -535,7 +542,7 @@ def test_property_kernels_match_the_full_sketch_oracle(case, seed, mode, guard):
     assert built.classify(members, candidates) == classification
     fresh = [f"fresh-{i}" for i in range(20)]
     assert [built.query(e) for e in members + candidates + fresh] == \
-           [filt.query_sketch(s) for s in sk.sketch_many(members + candidates + fresh)]
+           [filt.query_sketch(sk.sketch(e)) for e in members + candidates + fresh]
 
 
 def _record_walks(monkeypatch):
