@@ -18,8 +18,6 @@ MODE_RANDOM = "seeded-random-allocation"
 MODE_DOUBLE = "double-hashing"
 _MODES = (MODE_RANDOM, MODE_DOUBLE)
 
-_UNPACK_2Q = struct.Struct("<2Q").unpack
-
 
 def element_to_bytes(element) -> bytes:
     """Canonical byte encoding of an element id (int, str, or bytes).
@@ -54,7 +52,7 @@ def derive_seed(*parts) -> int:
 class HashFamily:
     """Deterministic family of hash functions onto [0, range_size).
 
-    count may be 0 (no functions, empty position list). In the default
+    count may be 0 (no functions, an empty mask). In the default
     seeded-random-allocation mode each function is an independent uniform
     draw, with replacement. Double-hashing mode derives
     all positions from two base hashes, the usual cheap alternative.
@@ -83,103 +81,72 @@ class HashFamily:
         # An element's digests are of its encoding + each suffix. A random-mode
         # walk takes exactly the first count chunks of blocks
         # 0 .. ceil(count/8)-1, so its blocks and their unpacker are fixed by
-        # the shape; a double-hashing walk takes one unsuffixed digest.
+        # the shape; a double-hashing walk takes one unsuffixed digest, read
+        # as h1 and h2.
         if mode == MODE_DOUBLE:
             self._suffixes = (b"",) if count else ()
+            self._unpack = struct.Struct("<2Q").unpack_from
         else:
             self._suffixes = tuple(block.to_bytes(4, "little")
                                    for block in range(-(-count // 8)))
-        self._unpack = struct.Struct(f"<{count}Q").unpack_from
-
-    def positions(self, element) -> list[int]:
-        """Hash positions of the element, one per function, order fixed."""
-        out: list[int] = []
-        self.encoded_mask(element_to_bytes(element), out)
-        return out
+            self._unpack = struct.Struct(f"<{count}Q").unpack_from
 
     def element_mask(self, element) -> int:
         """The element's bits as an int, the form the filters compare against."""
         return self.encoded_masks((element_to_bytes(element),))[0]
 
-    def encoded_masks(self, datas) -> list[int]:
-        """encoded_mask of each element already encoded by element_to_bytes.
+    def digests(self, datas) -> list[bytes]:
+        """Each element's hash stream, for elements already encoded by
+        element_to_bytes: the only walk of the keyed hasher.
 
-        A random-mode family walks the whole list in one loop, loading the
-        keyed hasher, the block suffixes, the unpacker and the range once
-        per list: per element, those lookups and the call cost more than the
-        bit arithmetic. A double-hashing family takes encoded_mask once per
-        item.
+        Random mode gives blocks 0 .. ceil(count/8)-1 of 64 bytes, the
+        digests of the encoding + the u32 block number, end to end; chunk i
+        (little-endian 64-bit) of the stream gives position chunk % range.
+        Double-hashing mode gives the one 16-byte digest of the encoding,
+        chunks h1 and h2; position i is (h1 % range + i * stride) % range,
+        with stride = h2 % range, or 1 where that is 0. A family of count 0
+        gives each element an empty stream.
         """
-        if self.mode == MODE_DOUBLE:
-            encode = self.encoded_mask
-            return [encode(data) for data in datas]
         hasher = self._hasher
         suffixes = self._suffixes
-        unpack = self._unpack
-        size = self.range_size
-        masks = []
+        streams = []
         for data in datas:
             stream = b""
             for suffix in suffixes:
                 h = hasher.copy()
                 h.update(data + suffix)
                 stream += h.digest()
+            streams.append(stream)
+        return streams
+
+    def encoded_masks(self, datas) -> list[int]:
+        """element_mask of each element of a list already encoded by
+        element_to_bytes: the digests streams reduced to int masks.
+
+        The range and the unpacker load once per list: per element, those
+        lookups and the call cost more than the bit arithmetic.
+        """
+        size = self.range_size
+        unpack = self._unpack
+        masks = []
+        if self.mode == MODE_DOUBLE:
+            count = self.count
+            if not count:  # its streams are empty, with no h1 and h2 to read
+                return [0] * len(datas)
+            for stream in self.digests(datas):
+                h1, h2 = unpack(stream)
+                a, b = h1 % size, h2 % size or 1
+                mask = 0
+                for i in range(count):
+                    mask |= 1 << (a + i * b) % size
+                masks.append(mask)
+            return masks
+        for stream in self.digests(datas):
             mask = 0
             for c in unpack(stream):
                 mask |= 1 << c % size
             masks.append(mask)
         return masks
-
-    def digests(self, datas) -> bytes:
-        """The digests each element's walk reads, elements end to end, for
-        elements already encoded by element_to_bytes.
-
-        Per element, random mode gives blocks 0 .. ceil(count/8)-1 of 64
-        bytes, whose first count little-endian 64-bit chunks c give the
-        positions c % range_size. Double-hashing mode gives one 16-byte
-        digest, its chunks h1 and h2, or nothing when count is 0. For
-        callers that reduce many elements' chunks to masks at once.
-        """
-        hasher = self._hasher
-        suffixes = self._suffixes
-        out = []
-        append = out.append
-        for data in datas:
-            for suffix in suffixes:
-                h = hasher.copy()
-                h.update(data + suffix)
-                append(h.digest())
-        return b"".join(out)
-
-    def encoded_mask(self, data: bytes, out: list | None = None) -> int:
-        """element_mask of an element already encoded by element_to_bytes.
-
-        The per-element hash-stream walker. Random mode reads the first
-        count 64-bit chunks of the digests of data + u32 block number,
-        blocks 0 .. ceil(count/8)-1, with one unpack: the walk
-        encoded_masks batches; it stays here for positions(). A list given
-        as out receives the positions in order, duplicates kept.
-        """
-        need = self.count
-        size = self.range_size
-        mask = 0
-        if self.mode == MODE_DOUBLE and need:
-            h = self._hasher.copy()
-            h.update(data)
-            h1, h2 = _UNPACK_2Q(h.digest())
-            a, b = h1 % size, h2 % size or 1
-            taken = [(a + i * b) % size for i in range(need)]
-            if out is not None:
-                out.extend(taken)
-            for pos in taken:
-                mask |= 1 << pos
-            return mask
-        chunks = self._unpack(self.digests((data,)))
-        for c in chunks:
-            mask |= 1 << c % size
-        if out is not None:
-            out.extend([c % size for c in chunks])
-        return mask
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashFamily):

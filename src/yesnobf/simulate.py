@@ -69,9 +69,9 @@ def _hash_rows(stream: bytes, items: int, count: int, size: int, mode: str):
     """The masks of items elements as uint8 rows of ceil(size/8) bytes,
     bit i of a row (byte 0 lowest) set for position i.
 
-    stream holds the elements' digests end to end, as HashFamily.digests
-    gives them for a family of this count, range size and mode; the rows
-    are the masks HashFamily.encoded_masks reads from the same digests.
+    stream is the elements' HashFamily.digests streams joined end to end,
+    for a family of this count, range size and mode; the rows are the
+    masks HashFamily.encoded_masks reduces from the same streams.
     """
     import numpy as np
 
@@ -147,7 +147,8 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
         datas = [encoded[i * items:(i + 1) * items] for i in range(len(seeds))]
         sketchers = [Sketcher(params, trial_seed, mode) for trial_seed in seeds]
         rows = _hash_rows(
-            b"".join(sk.yes_family.digests(d) for sk, d in zip(sketchers, datas)),
+            b"".join([stream for sk, d in zip(sketchers, datas)
+                      for stream in sk.yes_family.digests(d)]),
             len(seeds) * items, params.k, params.p, mode)
         yes_parts = _row_ints(rows)
         if params.r:
@@ -156,8 +157,8 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
             hit_rows = ~(rows & ~yes_masks[:, None]).any(axis=2)
             hits = hit_rows.tolist()
             no_parts = iter(_row_ints(_hash_rows(
-                b"".join(sk.no_family.digests(compress(d, h))
-                         for sk, d, h in zip(sketchers, datas, hits)),
+                b"".join([stream for sk, d, h in zip(sketchers, datas, hits)
+                          for stream in sk.no_family.digests(compress(d, h))]),
                 int(hit_rows.sum()), params.k_prime, params.q, mode)))
         for i, (trial_seed, (members, candidates)) in enumerate(zip(seeds, drawn)):
             trial_yes = yes_parts[i * items:(i + 1) * items]

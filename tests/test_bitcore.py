@@ -42,37 +42,52 @@ def test_hash_family_positions_deterministic():
     fam1 = HashFamily(4, 160, seed=9)
     fam2 = HashFamily(4, 160, seed=9)
     for element in (0, 17, "link", b"raw"):
-        got = fam1.positions(element)
-        assert got == fam2.positions(element)
+        got = _reference_positions(4, 160, 9, element)
         assert len(got) == 4
         assert all(0 <= pos < 160 for pos in got)
+        assert fam1.element_mask(element) == fam2.element_mask(element) == \
+               _bits(got)
 
 
 def test_hash_family_zero_count_yields_no_positions():
-    assert HashFamily(0, 32, seed=1).positions("x") == []
+    for mode in (MODE_RANDOM, MODE_DOUBLE):
+        fam = HashFamily(0, 32, mode=mode, seed=1)
+        assert _reference_positions(0, 32, 1, "x", mode) == []
+        assert fam.element_mask("x") == 0
+        assert fam.digests([element_to_bytes("x"), b""]) == [b"", b""]
 
 
 def test_hash_family_seed_and_shape_change_stream():
-    base = HashFamily(4, 160, seed=0).positions(123)
-    assert HashFamily(4, 160, seed=1).positions(123) != base
+    base = _reference_positions(4, 160, 0, 123)
+    assert _reference_positions(4, 160, 1, 123) != base
     # same seed, different range: independent families by construction
-    assert HashFamily(4, 161, seed=0).positions(123)[:3] != base[:3]
+    assert _reference_positions(4, 161, 0, 123)[:3] != base[:3]
+    masks = [HashFamily(4, size, seed=seed).element_mask(123)
+             for seed, size in ((0, 160), (1, 160), (0, 161))]
+    assert masks == [_bits(_reference_positions(4, size, seed, 123))
+                     for seed, size in ((0, 160), (1, 160), (0, 161))]
+    assert masks[0] != masks[1]
 
 
 def test_hash_family_pinned_positions():
+    yes_positions = _reference_positions(3, 13, FIXTURE_SEED, FIXTURE_ELEMENT)
+    no_positions = _reference_positions(1, 2, FIXTURE_SEED, FIXTURE_ELEMENT)
+    assert yes_positions == [4, 1, 11]
+    assert no_positions == [1]
     yes_fam = HashFamily(3, 13, seed=FIXTURE_SEED)
     no_fam = HashFamily(1, 2, seed=FIXTURE_SEED)
-    assert yes_fam.positions(FIXTURE_ELEMENT) == [4, 1, 11]
-    assert no_fam.positions(FIXTURE_ELEMENT) == [1]
+    assert yes_fam.element_mask(FIXTURE_ELEMENT) == 1 << 1 | 1 << 4 | 1 << 11
+    assert no_fam.element_mask(FIXTURE_ELEMENT) == 1 << 1
 
 
 def test_double_hashing_mode_is_arithmetic_progression():
     fam = HashFamily(5, 97, mode=MODE_DOUBLE, seed=2)
     for element in (b"alpha", b"beta", 42):
-        got = fam.positions(element)
+        got = _reference_positions(5, 97, 2, element, MODE_DOUBLE)
         step = (got[1] - got[0]) % 97
         assert step != 0
         assert got == [(got[0] + i * step) % 97 for i in range(5)]
+        assert fam.element_mask(element) == _bits(got)
 
 
 def test_bloom_filter_insert_then_contains():
@@ -154,12 +169,16 @@ elements = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
                      st.text(max_size=12), st.binary(max_size=12))
 
 
-def _reference_positions(count, size, seed, element):
-    """Random-mode positions from the definition, one keyed blake2b call per
-    block: the stream is the 64-byte digests of the encoded element + u32
+def _reference_positions(count, size, seed, element, mode=MODE_RANDOM):
+    """Positions from the definition, by keyed blake2b calls on the encoded
+    element.
+
+    Random mode: the stream is the 64-byte digests of the encoding + u32
     block number for blocks 0, 1, ..., read as little-endian u64 chunks;
-    each chunk mod size is a position."""
-    key = struct.pack("<QQQB", seed, count, size, 0)
+    each chunk mod size is a position. Double-hashing mode: the one 16-byte
+    digest of the encoding holds h1 and h2, and position i is
+    (h1 % size + i * (h2 % size or 1)) % size.
+    """
     if isinstance(element, bytes):
         data = b"b" + element
     elif isinstance(element, str):
@@ -168,6 +187,16 @@ def _reference_positions(count, size, seed, element):
         data = b"i" + element.to_bytes(8, "little")
     else:
         data = b"I" + str(element).encode("ascii")
+    if mode == MODE_DOUBLE:
+        if not count:
+            return []
+        key = struct.pack("<QQQB", seed, count, size, 1)
+        digest = blake2b(data, key=key, digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "little")
+        h2 = int.from_bytes(digest[8:], "little")
+        start, stride = h1 % size, h2 % size or 1
+        return [(start + i * stride) % size for i in range(count)]
+    key = struct.pack("<QQQB", seed, count, size, 0)
     taken = []
     block = 0
     while len(taken) < count:
@@ -181,20 +210,29 @@ def _reference_positions(count, size, seed, element):
     return taken
 
 
+def _bits(positions):
+    """The int mask with the given positions set, repeats once."""
+    return sum(1 << pos for pos in set(positions))
+
+
 @settings(max_examples=150, deadline=None)
 @given(count=st.integers(0, 20), size=st.integers(1, 300),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
        seed=st.integers(0, 2**64 - 1),
        element=st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
                          st.binary(max_size=12)))
-@example(count=20, size=300, seed=1, element=2**70)
+@example(count=20, size=300, mode=MODE_RANDOM, seed=1, element=2**70)
 # one digest block, then the first chunk of a second one
-@example(count=8, size=300, seed=5, element="edge")
-@example(count=9, size=300, seed=5, element="edge")
-def test_element_mask_matches_reference_stream(count, size, seed, element):
-    fam = HashFamily(count, size, seed=seed)
-    expected = _reference_positions(count, size, seed, element)
-    assert fam.positions(element) == expected
-    assert fam.element_mask(element) == sum(1 << pos for pos in set(expected))
+@example(count=8, size=300, mode=MODE_RANDOM, seed=5, element="edge")
+@example(count=9, size=300, mode=MODE_RANDOM, seed=5, element="edge")
+# size 1 makes every h2 % size 0, so the stride is 1
+@example(count=4, size=1, mode=MODE_DOUBLE, seed=0, element=3)
+@example(count=20, size=257, mode=MODE_DOUBLE, seed=5, element="edge")
+def test_element_mask_matches_reference_stream(count, size, mode, seed, element):
+    fam = HashFamily(count, size, mode=mode, seed=seed)
+    expected = _reference_positions(count, size, seed, element, mode)
+    assert len(expected) == count
+    assert fam.element_mask(element) == _bits(expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,10 +244,17 @@ def test_element_mask_matches_reference_stream(count, size, seed, element):
 @example(count=9, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
 @example(count=4, size=1, mode=MODE_DOUBLE, seed=0, batch=[3])
 @example(count=5, size=100, mode=MODE_RANDOM, seed=0, batch=[])
-def test_encoded_masks_is_encoded_mask_per_item(count, size, mode, seed, batch):
+# no functions: every mask is empty
+@example(count=0, size=100, mode=MODE_RANDOM, seed=0, batch=[3, "x"])
+@example(count=0, size=100, mode=MODE_DOUBLE, seed=0, batch=[3, "x"])
+def test_encoded_masks_batch_is_per_item_and_reference(count, size, mode, seed,
+                                                       batch):
     fam = HashFamily(count, size, mode=mode, seed=seed)
     datas = [element_to_bytes(e) for e in batch]
-    assert fam.encoded_masks(datas) == [fam.encoded_mask(d) for d in datas]
+    got = fam.encoded_masks(datas)
+    assert got == [fam.encoded_masks((d,))[0] for d in datas]
+    assert got == [_bits(_reference_positions(count, size, seed, e, mode))
+                   for e in batch]
 
 
 @settings(max_examples=60, deadline=None)

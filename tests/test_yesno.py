@@ -11,6 +11,7 @@ from yesnobf.bitcore import (
     HashFamily,
     element_to_bytes,
 )
+from yesnobf.topology import Graph, PathExperiment, run_topology_experiment
 from yesnobf.yesno import (
     ConstructionReport,
     QueryResult,
@@ -18,6 +19,9 @@ from yesnobf.yesno import (
     YesNoFilter,
     YesNoParams,
 )
+
+# the hash-stream oracle built from the definition
+from test_bitcore import _bits, _reference_positions
 
 FIXTURE_SEED = 0
 FIXTURE_ELEMENT = 5063
@@ -89,8 +93,9 @@ ids = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
 @example(k=4, k_prime=9, mode=MODE_DOUBLE, seed=1, elements=[])
 def test_sketch_is_the_walked_digest_stream(k, k_prime, mode, seed, elements):
     sk = Sketcher(YesNoParams.of(p=300, q=40, r=1, k=k, k_prime=k_prime), seed, mode)
-    walked = [(sk.yes_family.encoded_mask(d), sk.no_family.encoded_mask(d))
-              for d in map(element_to_bytes, elements)]
+    walked = [(_bits(_reference_positions(k, 300, seed, e, mode)),
+               _bits(_reference_positions(k_prime, 40, seed, e, mode)))
+              for e in elements]
     assert [sk.sketch(e) for e in elements] == walked
 
 
@@ -585,3 +590,56 @@ def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
     assert walked() == (1, 0)
     assert filt.contains(members[0])
     assert walked() == (1, 1 if r else 0)
+
+
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
+def test_every_walk_reads_the_hasher_through_digests(mode, monkeypatch):
+    """Each walk's elements pass through HashFamily.digests exactly once,
+    so a walk that reads the keyed hasher some other way fails here."""
+    seen = []
+    walk = HashFamily.digests
+
+    def recording(family, datas):
+        datas = list(datas)
+        seen.extend((family.count, family.range_size, d) for d in datas)
+        return walk(family, datas)
+
+    monkeypatch.setattr(HashFamily, "digests", recording)
+
+    def walked(shape=None):
+        """(count, range_size, data) walked since the last call, of one
+        family shape if given."""
+        got = [w for w in seen if shape is None or w[:2] == shape]
+        seen.clear()
+        return got
+
+    params = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=2)
+    yes, no = (params.k, params.p), (params.k_prime, params.q)
+    datas = [element_to_bytes(e) for e in ("a", 7, b"c")]
+    fam = HashFamily(5, 64, mode=mode, seed=3)
+    fam.encoded_masks(datas)
+    assert walked() == [(5, 64, d) for d in datas]
+    fam.element_mask(7)
+    assert walked() == [(5, 64, datas[1])]
+    Sketcher(params, 3, mode).sketch("a")
+    assert walked() == [(*yes, datas[0]), (*no, datas[0])]
+
+    members = [f"name-{i}" for i in range(12)]
+    candidates = [f"probe-{i}" for i in range(200)]
+    filt, _, got = YesNoFilter.build_and_classify(params, members, candidates,
+                                                  3, mode)
+    walked()
+    miss = got.yes_stage_negatives[0]
+    assert filt.query(miss) is QueryResult.NEGATIVE_YES_STAGE
+    assert walked() == [(*yes, element_to_bytes(miss))]
+    assert filt.query(members[0]) is QueryResult.POSITIVE
+    assert walked() == [(*yes, element_to_bytes(members[0])),
+                        (*no, element_to_bytes(members[0]))]
+
+    exp = PathExperiment.from_graph(
+        "ring10", Graph(edges=[(f"v{i}", f"v{(i + 1) % 10}") for i in range(10)]),
+        params=params, k_bf=4, allocations=3)
+    run_topology_experiment(exp, seed=1, mode=mode)
+    links = [element_to_bytes(link.id) for link in exp.s_links + exp.t_links]
+    baseline = [(exp.k_bf, params.m, d) for d in links]
+    assert walked((exp.k_bf, params.m)) == baseline * exp.allocations
