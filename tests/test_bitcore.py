@@ -62,11 +62,9 @@ def test_hash_family_seed_and_shape_change_stream():
     assert _reference_positions(4, 160, 1, 123) != base
     # same seed, different range: independent families by construction
     assert _reference_positions(4, 161, 0, 123)[:3] != base[:3]
-    masks = [HashFamily(4, size, seed=seed).element_mask(123)
-             for seed, size in ((0, 160), (1, 160), (0, 161))]
-    assert masks == [_bits(_reference_positions(4, size, seed, 123))
-                     for seed, size in ((0, 160), (1, 160), (0, 161))]
-    assert masks[0] != masks[1]
+    for seed, size in ((0, 160), (1, 160), (0, 161)):
+        assert HashFamily(4, size, seed=seed).element_mask(123) == \
+               _bits(_reference_positions(4, size, seed, 123))
 
 
 def test_hash_family_pinned_positions():

@@ -628,7 +628,7 @@ def test_every_walk_reads_the_hasher_through_digests(mode, monkeypatch):
     candidates = [f"probe-{i}" for i in range(200)]
     filt, _, got = YesNoFilter.build_and_classify(params, members, candidates,
                                                   3, mode)
-    walked()
+    walked()  # the build's walks
     miss = got.yes_stage_negatives[0]
     assert filt.query(miss) is QueryResult.NEGATIVE_YES_STAGE
     assert walked() == [(*yes, element_to_bytes(miss))]
