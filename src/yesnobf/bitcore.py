@@ -10,6 +10,7 @@ differ are statistically independent even under the same seed.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from hashlib import blake2b
 
 MASK64 = (1 << 64) - 1
@@ -49,6 +50,42 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+# A walk ORs or tests bits[position] rather than 1 << position, which builds
+# a new int per position. Ranges up to _TABLE_SIZE share one table (108 KB);
+# a table's size grows with the square of its range, so a wider range shifts.
+_TABLE_SIZE = 1024
+_BITS = tuple(1 << i for i in range(_TABLE_SIZE))
+
+
+class _ShiftedBits:
+    """bits[i] is 1 << i, for ranges past the table."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i: int) -> int:
+        return 1 << i
+
+
+@lru_cache(maxsize=256)
+def _shape(count: int, range_size: int, mode: str) -> tuple:
+    """(digest suffixes, stream unpacker, bit table) of a family shape.
+
+    An element's digests are of its encoding + each suffix. A random-mode
+    walk takes exactly the first count chunks of blocks 0 .. ceil(count/8)-1,
+    so its blocks and their unpacker are fixed by the shape; a
+    double-hashing walk takes one unsuffixed digest, read as h1 and h2.
+    None of it depends on the seed, so families rebuilt per seed share it.
+    """
+    if mode == MODE_DOUBLE:
+        suffixes = (b"",) if count else ()
+        unpack = struct.Struct("<2Q").unpack_from
+    else:
+        suffixes = tuple(block.to_bytes(4, "little")
+                         for block in range(-(-count // 8)))
+        unpack = struct.Struct(f"<{count}Q").unpack_from
+    return suffixes, unpack, _BITS if range_size <= _TABLE_SIZE else _ShiftedBits()
+
+
 class HashFamily:
     """Deterministic family of hash functions onto [0, range_size).
 
@@ -59,7 +96,7 @@ class HashFamily:
     """
 
     __slots__ = ("count", "range_size", "mode", "seed", "_key", "_hasher",
-                 "_suffixes", "_unpack")
+                 "_suffixes", "_unpack", "_bits")
 
     def __init__(self, count: int, range_size: int, *, mode: str = MODE_RANDOM,
                  seed: int = 0):
@@ -78,18 +115,7 @@ class HashFamily:
         # keyed once; each digest copies it, skipping the key block's compression
         self._hasher = blake2b(key=self._key,
                                digest_size=16 if mode == MODE_DOUBLE else 64)
-        # An element's digests are of its encoding + each suffix. A random-mode
-        # walk takes exactly the first count chunks of blocks
-        # 0 .. ceil(count/8)-1, so its blocks and their unpacker are fixed by
-        # the shape; a double-hashing walk takes one unsuffixed digest, read
-        # as h1 and h2.
-        if mode == MODE_DOUBLE:
-            self._suffixes = (b"",) if count else ()
-            self._unpack = struct.Struct("<2Q").unpack_from
-        else:
-            self._suffixes = tuple(block.to_bytes(4, "little")
-                                   for block in range(-(-count // 8)))
-            self._unpack = struct.Struct(f"<{count}Q").unpack_from
+        self._suffixes, self._unpack, self._bits = _shape(count, range_size, mode)
 
     def element_mask(self, element) -> int:
         """The element's bits as an int, the form the filters compare against."""
@@ -123,11 +149,13 @@ class HashFamily:
         """element_mask of each element of a list already encoded by
         element_to_bytes: the digests streams reduced to int masks.
 
-        The range and the unpacker load once per list: per element, those
-        lookups and the call cost more than the bit arithmetic.
+        The range, the unpacker and the bit table load once per list: per
+        element, those lookups and the call cost more than the bit
+        arithmetic.
         """
         size = self.range_size
         unpack = self._unpack
+        bits = self._bits
         masks = []
         if self.mode == MODE_DOUBLE:
             count = self.count
@@ -138,15 +166,48 @@ class HashFamily:
                 a, b = h1 % size, h2 % size or 1
                 mask = 0
                 for i in range(count):
-                    mask |= 1 << (a + i * b) % size
+                    mask |= bits[(a + i * b) % size]
                 masks.append(mask)
             return masks
         for stream in self.digests(datas):
             mask = 0
             for c in unpack(stream):
-                mask |= 1 << c % size
+                mask |= bits[c % size]
             masks.append(mask)
         return masks
+
+    def count_within(self, datas, mask: int) -> int:
+        """How many elements of a list already encoded by element_to_bytes
+        have their element_mask inside mask: a classic Bloom filter's hits.
+
+        Each element's walk stops at its first position outside mask, as a
+        Bloom filter query stops at its first clear bit. The digests are
+        taken whole, so the hasher is read as encoded_masks reads it.
+        """
+        size = self.range_size
+        unpack = self._unpack
+        bits = self._bits
+        within = 0
+        if self.mode == MODE_DOUBLE:
+            count = self.count
+            if not count:  # an empty mask lies inside any mask
+                return len(datas)
+            for stream in self.digests(datas):
+                h1, h2 = unpack(stream)
+                a, b = h1 % size, h2 % size or 1
+                for i in range(count):
+                    if not mask & bits[(a + i * b) % size]:
+                        break
+                else:
+                    within += 1
+            return within
+        for stream in self.digests(datas):
+            for c in unpack(stream):
+                if not mask & bits[c % size]:
+                    break
+            else:
+                within += 1
+        return within
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashFamily):
@@ -189,8 +250,7 @@ class BloomFilter:
         self.inserted_count += 1
 
     def contains(self, element) -> bool:
-        mask = self.family.element_mask(element)
-        return mask & self.mask == mask
+        return self.family.count_within((element_to_bytes(element),), self.mask) == 1
 
     def __eq__(self, other) -> bool:
         """Same family and same bits; insert bookkeeping is metadata."""

@@ -330,8 +330,7 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
         bf_mask = 0
         for mask in family.encoded_masks(s_datas):
             bf_mask |= mask
-        bf_counts.append(sum(mask & bf_mask == mask
-                             for mask in family.encoded_masks(t_datas)))
+        bf_counts.append(family.count_within(t_datas, bf_mask))
     fp_yesno_mean = sum(yn_counts) / experiment.allocations
     fp_bf_mean = sum(bf_counts) / experiment.allocations
     ratio = fp_yesno_mean / fp_bf_mean if fp_bf_mean > 0 else None

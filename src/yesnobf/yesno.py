@@ -263,16 +263,20 @@ class YesNoFilter:
         yes stage rejects, and on any element when r is 0. A member part,
         or the no part of a yes-stage false positive, wider than its filter
         raises ValueError, and so does a None no part that the guard or a
-        query would read.
+        query would read, and an empty member no part when r > 0.
         """
         q = params.q
         r = params.r
         yes_mask = 0
         member_no_masks = []
         for y, mn in member_sketches:
-            if mn is None:
+            if not mn:
+                # an empty no part lies inside every no filter, even an
+                # empty one, so the member would answer no
                 if r:
-                    raise ValueError("a member sketch lacks its no part")
+                    raise ValueError("a member sketch lacks its no part"
+                                     if mn is None else
+                                     "a member no part is empty")
             # a wide no part would spill into the next member's guard lane;
             # a shift per member is cheaper than OR-ing them all and testing
             # once, as each OR allocates an int
@@ -305,7 +309,10 @@ class YesNoFilter:
             f_count += 1
             for j in range(r):
                 candidate_mask = no_masks[j] | fno
-                if guard:
+                # A placement that adds no bit leaves filter j as the guard
+                # last passed it, and no member no part is empty, so it
+                # covers no member.
+                if guard and candidate_mask != no_masks[j]:
                     if fno & pinned[j]:
                         continue  # a member scan would refuse it too
                     if packed is None:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yesnobf.bitcore import (
+    _TABLE_SIZE,
     MODE_DOUBLE,
     MODE_RANDOM,
     BloomFilter,
@@ -226,6 +227,9 @@ def _bits(positions):
 # size 1 makes every h2 % size 0, so the stride is 1
 @example(count=4, size=1, mode=MODE_DOUBLE, seed=0, element=3)
 @example(count=20, size=257, mode=MODE_DOUBLE, seed=5, element="edge")
+# ranges past the shared bit table shift instead
+@example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=5, element="edge")
+@example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=5, element="edge")
 def test_element_mask_matches_reference_stream(count, size, mode, seed, element):
     fam = HashFamily(count, size, mode=mode, seed=seed)
     expected = _reference_positions(count, size, seed, element, mode)
@@ -253,6 +257,37 @@ def test_encoded_masks_batch_is_per_item_and_reference(count, size, mode, seed,
     assert got == [fam.encoded_masks((d,))[0] for d in datas]
     assert got == [_bits(_reference_positions(count, size, seed, e, mode))
                    for e in batch]
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(0, 20), size=st.integers(1, 1000),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       seed=st.integers(0, 2**64 - 1), batch=st.lists(elements, max_size=12),
+       stored=st.integers(0, 12), noise=st.integers(0, 2**(4 * _TABLE_SIZE)))
+# several digest blocks; ranges past the shared bit table; no functions
+@example(count=20, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"],
+         stored=2, noise=0)
+@example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=5,
+         batch=["edge", 7, b"raw"], stored=1, noise=0)
+@example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=5,
+         batch=["edge", 7, b"raw"], stored=1, noise=0)
+@example(count=0, size=100, mode=MODE_RANDOM, seed=0, batch=[3, "x"],
+         stored=0, noise=0)
+@example(count=0, size=100, mode=MODE_DOUBLE, seed=0, batch=[3, "x"],
+         stored=0, noise=0)
+def test_count_within_is_the_subset_count(count, size, mode, seed, batch,
+                                          stored, noise):
+    fam = HashFamily(count, size, mode=mode, seed=seed)
+    datas = [element_to_bytes(e) for e in batch]
+    masks = fam.encoded_masks(datas)
+    full = (1 << size) - 1
+    held = 0  # a classic filter holding the first stored elements
+    for mask in masks[:stored]:
+        held |= mask
+    for mask in (0, full, held, held | noise & full, noise & full):
+        assert fam.count_within(datas, mask) == \
+               sum(m & mask == m for m in masks)
+    assert fam.count_within(datas, held) >= min(stored, len(batch))
 
 
 @settings(max_examples=60, deadline=None)

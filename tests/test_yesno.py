@@ -212,6 +212,21 @@ def test_build_rejects_a_missing_no_part_it_would_read(members, candidates):
         YesNoFilter.build_from_sketches(params, members, candidates)
 
 
+@pytest.mark.parametrize("guard", [True, False])
+def test_build_rejects_an_empty_member_no_part(guard):
+    # every no filter covers an empty no part, so the member would answer no
+    params = YesNoParams.of(p=16, q=8, r=2, k=2, k_prime=2,
+                            allow_false_negatives=not guard)
+    members = [(0b11, 0), (0b1100, 0b11)]
+    candidates = [(0b11, 0b110000)]
+    with pytest.raises(ValueError, match="member no part is empty"):
+        YesNoFilter.build_from_sketches(params, members, candidates)
+    # with no no-filters nothing reads it
+    params = YesNoParams.of(p=16, q=8, r=0, k=2, k_prime=0)
+    filt, _ = YesNoFilter.build_from_sketches(params, members, candidates)
+    assert filt.query_sketch(members[0]) is QueryResult.POSITIVE
+
+
 @pytest.mark.parametrize("r", [0, 1])
 def test_build_takes_a_missing_no_part_nothing_reads(r):
     params = YesNoParams.of(p=8, q=4, r=r, k=1, k_prime=2)
