@@ -68,22 +68,30 @@ class _ShiftedBits:
 
 @lru_cache(maxsize=256)
 def _shape(count: int, range_size: int, mode: str) -> tuple:
-    """(digest suffixes, stream unpacker, bit table) of a family shape.
+    """(digest suffixes, digest size, stream reader, bit table) of a
+    family shape: the one place a hash mode is decided.
 
-    An element's digests are of its encoding + each suffix. A random-mode
-    walk takes exactly the first count chunks of blocks 0 .. ceil(count/8)-1,
-    so its blocks and their unpacker are fixed by the shape; a
-    double-hashing walk takes one unsuffixed digest, read as h1 and h2.
-    None of it depends on the seed, so families rebuilt per seed share it.
+    An element's digests are of its encoding + each suffix, and the reader
+    turns its stream into count chunks, chunk i giving position
+    chunk % range_size. A random-mode walk takes exactly the first count
+    chunks of blocks 0 .. ceil(count/8)-1, so its blocks and their
+    unpacker are fixed by the shape. A double-hashing walk takes one
+    unsuffixed digest, read as h1 and h2, and its chunks are the
+    progression h1 % range + i * stride. A family of count 0 has no
+    blocks and reads no chunks, in either mode. None of it depends on the
+    seed, so families rebuilt per seed share it.
     """
-    if mode == MODE_DOUBLE:
-        suffixes = (b"",) if count else ()
+    bits = _BITS if range_size <= _TABLE_SIZE else _ShiftedBits()
+    if mode == MODE_DOUBLE and count:
         unpack = struct.Struct("<2Q").unpack_from
-    else:
-        suffixes = tuple(block.to_bytes(4, "little")
-                         for block in range(-(-count // 8)))
-        unpack = struct.Struct(f"<{count}Q").unpack_from
-    return suffixes, unpack, _BITS if range_size <= _TABLE_SIZE else _ShiftedBits()
+
+        def read(stream):
+            h1, h2 = unpack(stream)
+            start, stride = h1 % range_size, h2 % range_size or 1
+            return range(start, start + count * stride, stride)
+        return (b"",), 16, read, bits
+    suffixes = tuple(block.to_bytes(4, "little") for block in range(-(-count // 8)))
+    return suffixes, 64, struct.Struct(f"<{count}Q").unpack_from, bits
 
 
 class HashFamily:
@@ -96,7 +104,7 @@ class HashFamily:
     """
 
     __slots__ = ("count", "range_size", "mode", "seed", "_key", "_hasher",
-                 "_suffixes", "_unpack", "_bits")
+                 "_suffixes", "_read", "_bits")
 
     def __init__(self, count: int, range_size: int, *, mode: str = MODE_RANDOM,
                  seed: int = 0):
@@ -112,10 +120,10 @@ class HashFamily:
         self.seed = seed & MASK64
         flags = _MODES.index(mode)
         self._key = struct.pack("<QQQB", self.seed, count, range_size, flags)
+        self._suffixes, digest_size, self._read, self._bits = _shape(
+            count, range_size, mode)
         # keyed once; each digest copies it, skipping the key block's compression
-        self._hasher = blake2b(key=self._key,
-                               digest_size=16 if mode == MODE_DOUBLE else 64)
-        self._suffixes, self._unpack, self._bits = _shape(count, range_size, mode)
+        self._hasher = blake2b(key=self._key, digest_size=digest_size)
 
     def element_mask(self, element) -> int:
         """The element's bits as an int, the form the filters compare against."""
@@ -149,29 +157,17 @@ class HashFamily:
         """element_mask of each element of a list already encoded by
         element_to_bytes: the digests streams reduced to int masks.
 
-        The range, the unpacker and the bit table load once per list: per
+        The range, the reader and the bit table load once per list: per
         element, those lookups and the call cost more than the bit
         arithmetic.
         """
         size = self.range_size
-        unpack = self._unpack
+        read = self._read
         bits = self._bits
         masks = []
-        if self.mode == MODE_DOUBLE:
-            count = self.count
-            if not count:  # its streams are empty, with no h1 and h2 to read
-                return [0] * len(datas)
-            for stream in self.digests(datas):
-                h1, h2 = unpack(stream)
-                a, b = h1 % size, h2 % size or 1
-                mask = 0
-                for i in range(count):
-                    mask |= bits[(a + i * b) % size]
-                masks.append(mask)
-            return masks
         for stream in self.digests(datas):
             mask = 0
-            for c in unpack(stream):
+            for c in read(stream):
                 mask |= bits[c % size]
             masks.append(mask)
         return masks
@@ -185,24 +181,11 @@ class HashFamily:
         taken whole, so the hasher is read as encoded_masks reads it.
         """
         size = self.range_size
-        unpack = self._unpack
+        read = self._read
         bits = self._bits
         within = 0
-        if self.mode == MODE_DOUBLE:
-            count = self.count
-            if not count:  # an empty mask lies inside any mask
-                return len(datas)
-            for stream in self.digests(datas):
-                h1, h2 = unpack(stream)
-                a, b = h1 % size, h2 % size or 1
-                for i in range(count):
-                    if not mask & bits[(a + i * b) % size]:
-                        break
-                else:
-                    within += 1
-            return within
         for stream in self.digests(datas):
-            for c in unpack(stream):
+            for c in read(stream):
                 if not mask & bits[c % size]:
                     break
             else:

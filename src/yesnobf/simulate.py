@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import compress, islice, repeat
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
-from .bitcore import MODE_DOUBLE, MODE_RANDOM, derive_seed
+from .bitcore import _MODES, MODE_DOUBLE, MODE_RANDOM, derive_seed
 from .yesno import (
     Classification,
     ConstructionReport,
@@ -81,16 +81,12 @@ def _hash_rows(stream: bytes, items: int, count: int, size: int, mode: str):
         chunks = np.frombuffer(stream, "<u8").reshape(items, -1)
         size = np.uint64(size)
         if mode == MODE_DOUBLE:
-            # position i is (a + i*b) % size with a = h1 % size and
-            # b = h2 % size or 1; stepping by b keeps every sum below 2 * size
-            step = chunks[:, 1] % size
-            step[step == 0] = 1
-            positions = np.empty((items, count), np.uint64)
-            positions[:, 0] = chunks[:, 0] % size
-            for i in range(1, count):
-                positions[:, i] = (positions[:, i - 1] + step) % size
-        else:
-            positions = chunks[:, :count] % size
+            # chunk i is h1 % size + i * stride, stride = h2 % size or 1,
+            # as HashFamily's reader gives; each is below count * size
+            stride = chunks[:, 1:] % size
+            stride[stride == 0] = 1
+            chunks = chunks[:, :1] % size + np.arange(count, dtype=np.uint64) * stride
+        positions = chunks[:, :count] % size
         # .at ORs a position repeated within an element once, as the int
         # walk does
         np.bitwise_or.at(
@@ -133,7 +129,8 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
     picks out the yes-stage hits; each trial's no family walks only its
     hits, reduced the same way. Every trial then builds and classifies
     through build_from_sketches and classify_sketches with the sketches
-    Sketcher._sketch_sets gives, so the outcomes are build_and_classify's.
+    Sketcher._sketch_sets gives, so the outcomes are those of
+    YesNoFilter.build, then classify, of the same two sets.
     """
     import numpy as np
 
@@ -224,6 +221,8 @@ class SweepConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.t < 0 or self.n < 0:
             raise ValueError("n and t must be >= 0")
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def m(self) -> int:

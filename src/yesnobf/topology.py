@@ -310,8 +310,9 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
                             mode: str = MODE_RANDOM) -> TopologyResult:
     """Average both structures' false positives over fresh random
     allocations; each allocation's stream comes from (seed, name, index),
-    and its counts are build_and_classify's and those of a BloomFilter(m,
-    k_bf) holding S, asked about T. The ids are encoded once per call."""
+    and its counts are those of YesNoFilter.build, then classify, and of
+    a BloomFilter(m, k_bf) holding S, asked about T. The ids are encoded
+    once per call."""
     params = experiment.params
     s_ids = [link.id for link in experiment.s_links]
     t_ids = [link.id for link in experiment.t_links]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .bitcore import MODE_RANDOM, HashFamily, element_to_bytes
+from .bitcore import _MODES, MODE_RANDOM, HashFamily, element_to_bytes
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,8 @@ class YesNoFilter:
             raise ValueError("expected exactly r no-filters")
         if any(nf < 0 or nf >> params.q for nf in no_filters):
             raise ValueError("every no-filter must fit in params.q bits")
+        if mode not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         self.params = params
         self.seed = seed
         self.mode = mode
@@ -232,23 +234,6 @@ class YesNoFilter:
             seed=seed, mode=mode)
         built._sketcher = sk
         return built, report
-
-    @classmethod
-    def build_and_classify(cls, params: YesNoParams, members, candidates,
-                           seed: int = 0, mode: str = MODE_RANDOM
-                           ) -> tuple[YesNoFilter, ConstructionReport, Classification]:
-        """build(), then classify() of the same two sets, sketching each
-        element once: the reference that sweeps and topology reproduce."""
-        member_list, candidate_list = _check_disjoint_sets(members, candidates)
-        sk = Sketcher(params, seed, mode)
-        member_sketches, candidate_sketches = sk._sketch_sets(
-            _encode(member_list), _encode(candidate_list))
-        built, report = cls.build_from_sketches(
-            params, member_sketches, candidate_sketches, seed=seed, mode=mode)
-        built._sketcher = sk
-        return built, report, built.classify_sketches(
-            list(zip(member_list, member_sketches)),
-            list(zip(candidate_list, candidate_sketches)))
 
     @classmethod
     def build_from_sketches(cls, params: YesNoParams, member_sketches,

@@ -167,7 +167,7 @@ def _fresh_query_experiment(p, q, k, k_prime, n, t_build, trials):
     for i in range(trials):
         s = derive_seed("acceptance-6", p, q, i)
         members, cands = draw_elements(s, n, t_build)
-        built, report, _ = YesNoFilter.build_and_classify(params, members, cands, seed=s)
+        built, report = YesNoFilter.build(params, members, cands, seed=s)
         fresh = draw_elements(derive_seed(s, "fresh"), 0, 2000)[1]
         outcome = built.classify([], fresh)
         total_fp += outcome.fp_count

@@ -224,8 +224,10 @@ def _bits(positions):
 # one digest block, then the first chunk of a second one
 @example(count=8, size=300, mode=MODE_RANDOM, seed=5, element="edge")
 @example(count=9, size=300, mode=MODE_RANDOM, seed=5, element="edge")
-# size 1 makes every h2 % size 0, so the stride is 1
+# size 1 makes every h2 % size 0, so the stride is 1; so does h2 % 12 == 0
+# for the elements 3, 7 and 37 of the (6, 12, seed 0) family
 @example(count=4, size=1, mode=MODE_DOUBLE, seed=0, element=3)
+@example(count=6, size=12, mode=MODE_DOUBLE, seed=0, element=3)
 @example(count=20, size=257, mode=MODE_DOUBLE, seed=5, element="edge")
 # ranges past the shared bit table shift instead
 @example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=5, element="edge")
@@ -271,6 +273,9 @@ def test_encoded_masks_batch_is_per_item_and_reference(count, size, mode, seed,
          batch=["edge", 7, b"raw"], stored=1, noise=0)
 @example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=5,
          batch=["edge", 7, b"raw"], stored=1, noise=0)
+# stride 1 where h2 % size is 0, as in test_element_mask_matches_reference_stream
+@example(count=6, size=12, mode=MODE_DOUBLE, seed=0, batch=[3, 7, 37, "edge"],
+         stored=1, noise=0)
 @example(count=0, size=100, mode=MODE_RANDOM, seed=0, batch=[3, "x"],
          stored=0, noise=0)
 @example(count=0, size=100, mode=MODE_DOUBLE, seed=0, batch=[3, "x"],

@@ -178,9 +178,14 @@ def test_encoded_ids_are_element_to_bytes(values):
 
 
 def _one_at_a_time(params, n, t, seeds, mode):
-    """Each trial as the library builds one: draw, then the shared kernel."""
-    return [YesNoFilter.build_and_classify(params, *draw_elements(s, n, t), s, mode)[1:]
-            for s in seeds]
+    """Each trial as the library builds one: draw, build, then classify the
+    same two sets, each hashed in its own pass."""
+    outcomes = []
+    for s in seeds:
+        members, candidates = draw_elements(s, n, t)
+        filt, report = YesNoFilter.build(params, members, candidates, s, mode)
+        outcomes.append((report, filt.classify(members, candidates)))
+    return outcomes
 
 
 # (p, q, r, k, k'): k' may be 0 only without no-filters
@@ -253,6 +258,8 @@ def test_config_validation():
         SweepConfig(swept="n", start=30, stop=10)
     with pytest.raises(ValueError):
         SweepConfig(**{**good, "trials": 0})
+    with pytest.raises(ValueError, match="unknown mode"):
+        SweepConfig(**{**good, "mode": "x"})
 
 
 def test_config_range_is_inclusive():

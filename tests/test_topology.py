@@ -326,10 +326,12 @@ def test_allocations_match_the_reference_kernel(exp, seed, mode):
     res = run_topology_experiment(exp, seed=seed, mode=mode)
     s_ids = [link.id for link in exp.s_links]
     t_ids = [link.id for link in exp.t_links]
-    assert res.yesno_counts == tuple(
-        YesNoFilter.build_and_classify(exp.params, s_ids, t_ids,
-                                       derive_seed(seed, exp.name, i), mode)[2].fp_count
-        for i in range(exp.allocations))
+    expected = []
+    for i in range(exp.allocations):
+        filt, _ = YesNoFilter.build(exp.params, s_ids, t_ids,
+                                    derive_seed(seed, exp.name, i), mode)
+        expected.append(filt.classify(s_ids, t_ids).fp_count)
+    assert res.yesno_counts == tuple(expected)
 
 
 def test_link_ids_are_encoded_once_per_run(monkeypatch):

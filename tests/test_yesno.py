@@ -103,11 +103,11 @@ def test_sketching_rejects_unsupported_ids():
     sk = Sketcher(FIXTURE_PARAMS, seed=FIXTURE_SEED)
     with pytest.raises(TypeError):
         sk.sketch(2.5)
-    # the kernels encode after the disjointness check, before any hashing
+    # build and classify encode after the disjointness check, before any hashing
     with pytest.raises(TypeError):
         YesNoFilter.build(FIXTURE_PARAMS, [1, 2.5], [3])
     with pytest.raises(TypeError):
-        YesNoFilter.build_and_classify(FIXTURE_PARAMS, [1], [3, 2.5])
+        YesNoFilter.build(FIXTURE_PARAMS, [1], [3, 2.5])
     filt, _ = YesNoFilter.build(FIXTURE_PARAMS, [1], [3])
     with pytest.raises(TypeError):
         filt.classify([1], [2.5])
@@ -331,6 +331,8 @@ def test_constructor_validates_part_lengths():
         YesNoFilter(params, 0, [0])
     with pytest.raises(ValueError):
         YesNoFilter(params, 0, [0, 1 << 4])
+    with pytest.raises(ValueError, match="unknown mode"):
+        YesNoFilter(params, 0, [0, 0], mode="bogus")
 
 
 @pytest.mark.parametrize("bad", ["_", " ", "+", "2"])
@@ -387,21 +389,6 @@ def test_property_rejections_never_exceed_yes_stage_fps(members, extra, seed):
 geometries = st.tuples(st.integers(2, 64), st.integers(1, 12), st.integers(0, 3),
                        st.integers(1, 6), st.integers(1, 4)).filter(
     lambda g: g[1] < g[0])
-
-
-@settings(max_examples=80, deadline=None)
-@given(geometry=geometries, members=element_sets, extra=element_sets,
-       seed=st.integers(0, 2**32 - 1), mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       guard=st.booleans())
-def test_property_build_and_classify_equals_build_then_classify(
-        geometry, members, extra, seed, mode, guard):
-    p, q, r, k, k_prime = geometry
-    params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
-    members = sorted(members)
-    candidates = sorted(extra - set(members))
-    filt, report = YesNoFilter.build(params, members, candidates, seed=seed, mode=mode)
-    expected = (filt, report, filt.classify(members, candidates))
-    assert YesNoFilter.build_and_classify(params, members, candidates, seed, mode) == expected
 
 
 def _plain_first_fit(params, member_sketches, candidate_sketches):
@@ -555,8 +542,6 @@ def test_property_kernels_match_the_full_sketch_oracle(case, seed, mode, guard):
         seed=seed, mode=mode)
     classification = filt.classify_sketches(member_pairs, candidate_pairs)
 
-    assert YesNoFilter.build_and_classify(params, members, candidates, seed, mode) == \
-           (filt, report, classification)
     built, built_report = YesNoFilter.build(params, members, candidates, seed, mode)
     assert (built, built_report) == (filt, report)
     assert built.classify(members, candidates) == classification
@@ -592,13 +577,11 @@ def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
         walks.clear()
         return tuple(items)
 
-    filt, report, got = YesNoFilter.build_and_classify(params, members, candidates)
+    filt, report = YesNoFilter.build(params, members, candidates)
     assert 0 < report.f_count < len(candidates)
     hits = len(members) + report.f_count if r else 0
     assert walked() == (len(members) + len(candidates), hits)
-    YesNoFilter.build(params, members, candidates)
-    assert walked() == (len(members) + len(candidates), hits)
-    filt.classify(members, candidates)
+    got = filt.classify(members, candidates)
     assert walked() == (len(members) + len(candidates), hits)
 
     assert not filt.contains(got.yes_stage_negatives[0])
@@ -641,9 +624,9 @@ def test_every_walk_reads_the_hasher_through_digests(mode, monkeypatch):
 
     members = [f"name-{i}" for i in range(12)]
     candidates = [f"probe-{i}" for i in range(200)]
-    filt, _, got = YesNoFilter.build_and_classify(params, members, candidates,
-                                                  3, mode)
-    walked()  # the build's walks
+    filt, _ = YesNoFilter.build(params, members, candidates, 3, mode)
+    got = filt.classify(members, candidates)
+    walked()  # the build's and the classification's walks
     miss = got.yes_stage_negatives[0]
     assert filt.query(miss) is QueryResult.NEGATIVE_YES_STAGE
     assert walked() == [(*yes, element_to_bytes(miss))]
