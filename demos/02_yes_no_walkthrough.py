@@ -8,7 +8,7 @@ positives among the queries the deployment will actually see. This script
 builds one and walks through what each stage did.
 """
 
-from yesnobf import QueryResult, YesNoFilter, YesNoParams
+from yesnobf import MODE_RANDOM, QueryResult, YesNoFilter, YesNoParams
 
 # 96 bits total: a 64-bit yes stage and two 16-bit no-filters
 params = YesNoParams.of(p=64, q=16, r=2, k=3, k_prime=2)
@@ -39,5 +39,6 @@ assert filt.query(sample) is QueryResult.NEGATIVE_NO_STAGE
 
 # the whole structure serializes to its m bits and comes back intact
 wire = filt.to_bitstring()
-back = YesNoFilter.from_bitstring(params, wire, seed=9)
+# the bits do not record the hashing, so the load names its seed and mode
+back = YesNoFilter.from_bitstring(params, wire, seed=9, mode=MODE_RANDOM)
 print(f"{len(wire)} bits on the wire, round-trip intact: {back == filt}")

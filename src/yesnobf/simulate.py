@@ -281,7 +281,7 @@ def _point_geometry(config: SweepConfig, value: int) -> tuple[YesNoParams, int]:
     if c.swept == "r_fixed_p":
         return YesNoParams.of(c.p, c.q, value, c.k, c.k_prime, afn), c.n
     # r_fixed_m: total length stays put, the yes-filter gives up the bits
-    return YesNoParams(c.m, c.m - c.q * value, c.q, value, c.k, c.k_prime, afn), c.n
+    return YesNoParams.of(c.m - c.q * value, c.q, value, c.k, c.k_prime, afn), c.n
 
 
 def optimal_hash_count(m: int, n: int) -> int:

@@ -31,7 +31,6 @@ class YesNoParams:
     answers for mitigation capacity.
     """
 
-    m: int
     p: int
     q: int
     r: int
@@ -46,9 +45,6 @@ class YesNoParams:
             raise ValueError(f"q must be positive, got {self.q}")
         if self.r < 0:
             raise ValueError(f"r must be >= 0, got {self.r}")
-        if self.m != self.p + self.q * self.r:
-            raise ValueError(
-                f"m must equal p + q*r: {self.m} != {self.p} + {self.q}*{self.r}")
         if self.q >= self.p:
             raise ValueError(f"q ({self.q}) must be smaller than p ({self.p})")
         if self.k < 1:
@@ -58,11 +54,15 @@ class YesNoParams:
         if self.r > 0 and self.k_prime < 1:
             raise ValueError("k_prime must be >= 1 when there are no-filters")
 
+    @property
+    def m(self) -> int:
+        return self.p + self.q * self.r
+
     @classmethod
     def of(cls, p: int, q: int, r: int, k: int, k_prime: int,
            allow_false_negatives: bool = False) -> YesNoParams:
-        """Construct with m computed from the part lengths."""
-        return cls(p + q * r, p, q, r, k, k_prime, allow_false_negatives)
+        """Construct from the part lengths; m follows from them."""
+        return cls(p, q, r, k, k_prime, allow_false_negatives)
 
 
 # An element's two hash patterns as int masks: (p-bit yes part, q-bit no
@@ -425,8 +425,11 @@ class YesNoFilter:
         return "".join(parts)
 
     @classmethod
-    def from_bitstring(cls, params: YesNoParams, text: str, seed: int = 0,
-                       mode: str = MODE_RANDOM) -> YesNoFilter:
+    def from_bitstring(cls, params: YesNoParams, text: str, *, seed: int,
+                       mode: str) -> YesNoFilter:
+        """The filter of a to_bitstring text. The bits do not record the
+        seed and hash mode they were built with, so the caller names both;
+        under any others, members may answer no."""
         if len(text) != params.m:
             raise ValueError(f"expected {params.m} bits, got {len(text)}")
         # checked here, since int(text, 2) also accepts "_" and spaces

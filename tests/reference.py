@@ -1,0 +1,143 @@
+"""The yes-no Bloom filter written plainly from its definition: the tests'
+one oracle, which pytest does not collect.
+
+It reads no yesnobf hashing or filter code. Positions follow the README's
+"Hash stream" section, by this module's own encoding and blake2b calls.
+Results are the library's value types, so tests compare them with ==.
+"""
+
+import struct
+from hashlib import blake2b
+
+from hypothesis import strategies as st
+
+from yesnobf.bitcore import MODE_DOUBLE, MODE_RANDOM
+from yesnobf.yesno import Classification, ConstructionReport, QueryResult
+
+# every kind of element id: ints past 64 bits and below zero take the
+# decimal encoding
+ids = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
+                st.binary(max_size=12))
+
+
+def positions(count, size, seed, element, mode=MODE_RANDOM) -> list[int]:
+    """The count positions in [0, size) of an element, in hash order.
+
+    Random mode: the stream is the 64-byte digests of the encoding + the
+    u32 block number for blocks 0, 1, ..., read as little-endian u64
+    chunks; chunk i mod size is position i. Double-hashing mode: the one
+    16-byte digest of the encoding holds h1 and h2, and position i is
+    (h1 % size + i * (h2 % size or 1)) % size.
+    """
+    if isinstance(element, bytes):
+        data = b"b" + element
+    elif isinstance(element, str):
+        data = b"s" + element.encode("utf-8")
+    elif 0 <= element < 2**64:
+        data = b"i" + element.to_bytes(8, "little")
+    else:
+        data = b"I" + str(element).encode("ascii")
+    if mode == MODE_DOUBLE:
+        if not count:
+            return []
+        key = struct.pack("<QQQB", seed, count, size, 1)
+        digest = blake2b(data, key=key, digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "little")
+        h2 = int.from_bytes(digest[8:], "little")
+        start, stride = h1 % size, h2 % size or 1
+        return [(start + i * stride) % size for i in range(count)]
+    key = struct.pack("<QQQB", seed, count, size, 0)
+    chunks = []
+    block = 0
+    while len(chunks) < count:
+        digest = blake2b(data + struct.pack("<I", block), key=key,
+                         digest_size=64).digest()
+        chunks.extend(int.from_bytes(digest[j:j + 8], "little")
+                      for j in range(0, 64, 8))
+        block += 1
+    return [c % size for c in chunks[:count]]
+
+
+def mask(bit_positions) -> int:
+    """The int mask with the given positions set, repeats once."""
+    return sum(1 << pos for pos in set(bit_positions))
+
+
+def element_mask(count, size, seed, element, mode=MODE_RANDOM) -> int:
+    return mask(positions(count, size, seed, element, mode))
+
+
+def sketch(params, seed, element, mode=MODE_RANDOM) -> tuple[int, int]:
+    """(yes part, no part): the element's masks in the k-of-p and the
+    k'-of-q families, which share the seed."""
+    return (element_mask(params.k, params.p, seed, element, mode),
+            element_mask(params.k_prime, params.q, seed, element, mode))
+
+
+def first_fit(params, member_sketches, candidate_sketches):
+    """(yes mask, no masks, ConstructionReport) of a build.
+
+    The yes filter is the OR of the members' yes parts. Each candidate that
+    passes it is a yes-stage false positive, and goes into the first
+    no-filter that can take it: with the guard on, one that would then
+    cover no member's no part, checked by scanning every member.
+    """
+    yes_mask = 0
+    for y, _ in member_sketches:
+        yes_mask |= y
+    no_masks = [0] * params.r
+    loads = [0] * params.r
+    f_count = r_count = 0
+    for y, fno in candidate_sketches:
+        if y & yes_mask != y:
+            continue
+        f_count += 1
+        for j in range(params.r):
+            placed = no_masks[j] | fno
+            if not params.allow_false_negatives and any(
+                    mn & placed == mn for _, mn in member_sketches):
+                continue
+            no_masks[j] = placed
+            loads[j] += 1
+            r_count += 1
+            break
+    report = ConstructionReport(len(member_sketches), len(candidate_sketches),
+                                f_count, r_count, f_count - r_count, tuple(loads))
+    return yes_mask, no_masks, report
+
+
+def query(yes_mask, no_masks, element_sketch) -> QueryResult:
+    """The two stages: out of the yes filter is no; inside any no-filter
+    is no; otherwise yes."""
+    y, fno = element_sketch
+    if y & yes_mask != y:
+        return QueryResult.NEGATIVE_YES_STAGE
+    if any(fno & nm == fno for nm in no_masks):
+        return QueryResult.NEGATIVE_NO_STAGE
+    return QueryResult.POSITIVE
+
+
+def classify(yes_mask, no_masks, member_pairs, candidate_pairs) -> Classification:
+    """S and T, as (element, sketch) pairs, partitioned by query."""
+    out = Classification()
+    for e, s in member_pairs:
+        if query(yes_mask, no_masks, s) is QueryResult.POSITIVE:
+            out.true_positives.append(e)
+        else:
+            out.false_negatives.append(e)
+    filed = {QueryResult.NEGATIVE_YES_STAGE: out.yes_stage_negatives,
+             QueryResult.NEGATIVE_NO_STAGE: out.no_stage_rejections,
+             QueryResult.POSITIVE: out.residual_false_positives}
+    for e, s in candidate_pairs:
+        filed[query(yes_mask, no_masks, s)].append(e)
+    return out
+
+
+def trial(params, members, candidates, seed, mode=MODE_RANDOM):
+    """(ConstructionReport, Classification) of building on members and
+    candidates, then classifying the same two sets."""
+    member_pairs = [(e, sketch(params, seed, e, mode)) for e in members]
+    candidate_pairs = [(e, sketch(params, seed, e, mode)) for e in candidates]
+    yes_mask, no_masks, report = first_fit(
+        params, [s for _, s in member_pairs], [s for _, s in candidate_pairs])
+    return report, classify(yes_mask, no_masks, member_pairs, candidate_pairs)

@@ -22,7 +22,7 @@ from yesnobf.analysis import (
     fp_prob_exact,
     pr_E,
 )
-from yesnobf.bitcore import BloomFilter, derive_seed
+from yesnobf.bitcore import BloomFilter, derive_seed, element_to_bytes
 from yesnobf.cli import main
 from yesnobf.corpus import default_corpus, ring_graph
 from yesnobf.simulate import SweepConfig, draw_elements, sweep, trial_outcome
@@ -59,7 +59,8 @@ def test_criterion_1_classic_fp_rate_matches_closed_form(capfd):
             bf = BloomFilter(m, k, seed=s)
             for e in members:
                 bf.insert(e)
-            rates[b] = sum(1 for e in probes if bf.contains(e)) / 10_000
+            probe_datas = [element_to_bytes(e) for e in probes]
+            rates[b] = bf.family.count_within(probe_datas, bf.mask) / 10_000
         mean = rates.mean()
         se = rates.std(ddof=1) / math.sqrt(rates.size)
         if abs(mean - f) > 3 * se:

@@ -1,8 +1,6 @@
 """Hash family and classic Bloom filter behavior."""
 
-import struct
 from fractions import Fraction
-from hashlib import blake2b
 from statistics import mean, stdev
 
 import pytest
@@ -18,6 +16,8 @@ from yesnobf.bitcore import (
     derive_seed,
     element_to_bytes,
 )
+
+import reference
 
 # Pinned worked example: with this seed and element, the 13-bit yes family
 # hashes to positions (4, 1, 11) and the 2-bit single-hash family to (1).
@@ -43,34 +43,34 @@ def test_hash_family_positions_deterministic():
     fam1 = HashFamily(4, 160, seed=9)
     fam2 = HashFamily(4, 160, seed=9)
     for element in (0, 17, "link", b"raw"):
-        got = _reference_positions(4, 160, 9, element)
+        got = reference.positions(4, 160, 9, element)
         assert len(got) == 4
         assert all(0 <= pos < 160 for pos in got)
         assert fam1.element_mask(element) == fam2.element_mask(element) == \
-               _bits(got)
+               reference.mask(got)
 
 
 def test_hash_family_zero_count_yields_no_positions():
     for mode in (MODE_RANDOM, MODE_DOUBLE):
         fam = HashFamily(0, 32, mode=mode, seed=1)
-        assert _reference_positions(0, 32, 1, "x", mode) == []
+        assert reference.positions(0, 32, 1, "x", mode) == []
         assert fam.element_mask("x") == 0
         assert fam.digests([element_to_bytes("x"), b""]) == [b"", b""]
 
 
 def test_hash_family_seed_and_shape_change_stream():
-    base = _reference_positions(4, 160, 0, 123)
-    assert _reference_positions(4, 160, 1, 123) != base
+    base = reference.positions(4, 160, 0, 123)
+    assert reference.positions(4, 160, 1, 123) != base
     # same seed, different range: independent families by construction
-    assert _reference_positions(4, 161, 0, 123)[:3] != base[:3]
+    assert reference.positions(4, 161, 0, 123)[:3] != base[:3]
     for seed, size in ((0, 160), (1, 160), (0, 161)):
         assert HashFamily(4, size, seed=seed).element_mask(123) == \
-               _bits(_reference_positions(4, size, seed, 123))
+               reference.element_mask(4, size, seed, 123)
 
 
 def test_hash_family_pinned_positions():
-    yes_positions = _reference_positions(3, 13, FIXTURE_SEED, FIXTURE_ELEMENT)
-    no_positions = _reference_positions(1, 2, FIXTURE_SEED, FIXTURE_ELEMENT)
+    yes_positions = reference.positions(3, 13, FIXTURE_SEED, FIXTURE_ELEMENT)
+    no_positions = reference.positions(1, 2, FIXTURE_SEED, FIXTURE_ELEMENT)
     assert yes_positions == [4, 1, 11]
     assert no_positions == [1]
     yes_fam = HashFamily(3, 13, seed=FIXTURE_SEED)
@@ -82,11 +82,11 @@ def test_hash_family_pinned_positions():
 def test_double_hashing_mode_is_arithmetic_progression():
     fam = HashFamily(5, 97, mode=MODE_DOUBLE, seed=2)
     for element in (b"alpha", b"beta", 42):
-        got = _reference_positions(5, 97, 2, element, MODE_DOUBLE)
+        got = reference.positions(5, 97, 2, element, MODE_DOUBLE)
         step = (got[1] - got[0]) % 97
         assert step != 0
         assert got == [(got[0] + i * step) % 97 for i in range(5)]
-        assert fam.element_mask(element) == _bits(got)
+        assert fam.element_mask(element) == reference.mask(got)
 
 
 def test_bloom_filter_insert_then_contains():
@@ -164,107 +164,41 @@ def test_small_filter_fp_rate_matches_rational_oracle():
 
 # --- properties ----------------------------------------------------------
 
-elements = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
-                     st.text(max_size=12), st.binary(max_size=12))
-
-
-def _reference_positions(count, size, seed, element, mode=MODE_RANDOM):
-    """Positions from the definition, by keyed blake2b calls on the encoded
-    element.
-
-    Random mode: the stream is the 64-byte digests of the encoding + u32
-    block number for blocks 0, 1, ..., read as little-endian u64 chunks;
-    each chunk mod size is a position. Double-hashing mode: the one 16-byte
-    digest of the encoding holds h1 and h2, and position i is
-    (h1 % size + i * (h2 % size or 1)) % size.
-    """
-    if isinstance(element, bytes):
-        data = b"b" + element
-    elif isinstance(element, str):
-        data = b"s" + element.encode("utf-8")
-    elif 0 <= element < 2**64:
-        data = b"i" + element.to_bytes(8, "little")
-    else:
-        data = b"I" + str(element).encode("ascii")
-    if mode == MODE_DOUBLE:
-        if not count:
-            return []
-        key = struct.pack("<QQQB", seed, count, size, 1)
-        digest = blake2b(data, key=key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little")
-        start, stride = h1 % size, h2 % size or 1
-        return [(start + i * stride) % size for i in range(count)]
-    key = struct.pack("<QQQB", seed, count, size, 0)
-    taken = []
-    block = 0
-    while len(taken) < count:
-        digest = blake2b(data + struct.pack("<I", block), key=key,
-                         digest_size=64).digest()
-        for j in range(0, 64, 8):
-            pos = int.from_bytes(digest[j:j + 8], "little") % size
-            if len(taken) < count:
-                taken.append(pos)
-        block += 1
-    return taken
-
-
-def _bits(positions):
-    """The int mask with the given positions set, repeats once."""
-    return sum(1 << pos for pos in set(positions))
-
-
-@settings(max_examples=150, deadline=None)
-@given(count=st.integers(0, 20), size=st.integers(1, 300),
-       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       seed=st.integers(0, 2**64 - 1),
-       element=st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
-                         st.binary(max_size=12)))
-@example(count=20, size=300, mode=MODE_RANDOM, seed=1, element=2**70)
-# one digest block, then the first chunk of a second one
-@example(count=8, size=300, mode=MODE_RANDOM, seed=5, element="edge")
-@example(count=9, size=300, mode=MODE_RANDOM, seed=5, element="edge")
-# size 1 makes every h2 % size 0, so the stride is 1; so does h2 % 12 == 0
-# for the elements 3, 7 and 37 of the (6, 12, seed 0) family
-@example(count=4, size=1, mode=MODE_DOUBLE, seed=0, element=3)
-@example(count=6, size=12, mode=MODE_DOUBLE, seed=0, element=3)
-@example(count=20, size=257, mode=MODE_DOUBLE, seed=5, element="edge")
-# ranges past the shared bit table shift instead
-@example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=5, element="edge")
-@example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=5, element="edge")
-def test_element_mask_matches_reference_stream(count, size, mode, seed, element):
-    fam = HashFamily(count, size, mode=mode, seed=seed)
-    expected = _reference_positions(count, size, seed, element, mode)
-    assert len(expected) == count
-    assert fam.element_mask(element) == _bits(expected)
-
-
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(count=st.integers(0, 20), size=st.integers(1, 500),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       seed=st.integers(0, 2**64 - 1), batch=st.lists(elements, max_size=12))
-# one digest block per element, then two; and an empty list
+       seed=st.integers(0, 2**64 - 1), batch=st.lists(reference.ids, max_size=12))
+@example(count=20, size=300, mode=MODE_RANDOM, seed=1, batch=[2**70])
+# one digest block per element, then the first chunk of a second one
+@example(count=8, size=300, mode=MODE_RANDOM, seed=5, batch=["edge"])
+@example(count=9, size=300, mode=MODE_RANDOM, seed=5, batch=["edge"])
 @example(count=8, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
 @example(count=9, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
+# size 1 makes every h2 % size 0, so the stride is 1; so does h2 % 12 == 0
+# for the elements 3, 7 and 37 of the (6, 12, seed 0) family
 @example(count=4, size=1, mode=MODE_DOUBLE, seed=0, batch=[3])
+@example(count=6, size=12, mode=MODE_DOUBLE, seed=0, batch=[3])
+@example(count=20, size=257, mode=MODE_DOUBLE, seed=5, batch=["edge"])
+# ranges past the shared bit table shift instead
+@example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=5, batch=["edge"])
+@example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=5, batch=["edge"])
+# an empty list; no functions, so every mask is empty
 @example(count=5, size=100, mode=MODE_RANDOM, seed=0, batch=[])
-# no functions: every mask is empty
 @example(count=0, size=100, mode=MODE_RANDOM, seed=0, batch=[3, "x"])
 @example(count=0, size=100, mode=MODE_DOUBLE, seed=0, batch=[3, "x"])
-def test_encoded_masks_batch_is_per_item_and_reference(count, size, mode, seed,
-                                                       batch):
+def test_element_mask_matches_reference_stream(count, size, mode, seed, batch):
     fam = HashFamily(count, size, mode=mode, seed=seed)
-    datas = [element_to_bytes(e) for e in batch]
-    got = fam.encoded_masks(datas)
-    assert got == [fam.encoded_masks((d,))[0] for d in datas]
-    assert got == [_bits(_reference_positions(count, size, seed, e, mode))
-                   for e in batch]
+    expected = [reference.positions(count, size, seed, e, mode) for e in batch]
+    assert all(len(got) == count for got in expected)
+    masks = [reference.mask(got) for got in expected]
+    assert [fam.element_mask(e) for e in batch] == masks
+    assert fam.encoded_masks([element_to_bytes(e) for e in batch]) == masks
 
 
 @settings(max_examples=150, deadline=None)
 @given(count=st.integers(0, 20), size=st.integers(1, 1000),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       seed=st.integers(0, 2**64 - 1), batch=st.lists(elements, max_size=12),
+       seed=st.integers(0, 2**64 - 1), batch=st.lists(reference.ids, max_size=12),
        stored=st.integers(0, 12), noise=st.integers(0, 2**(4 * _TABLE_SIZE)))
 # several digest blocks; ranges past the shared bit table; no functions
 @example(count=20, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"],
@@ -284,7 +218,7 @@ def test_count_within_is_the_subset_count(count, size, mode, seed, batch,
                                           stored, noise):
     fam = HashFamily(count, size, mode=mode, seed=seed)
     datas = [element_to_bytes(e) for e in batch]
-    masks = fam.encoded_masks(datas)
+    masks = [reference.element_mask(count, size, seed, e, mode) for e in batch]
     full = (1 << size) - 1
     held = 0  # a classic filter holding the first stored elements
     for mask in masks[:stored]:
@@ -296,7 +230,7 @@ def test_count_within_is_the_subset_count(count, size, mode, seed, batch,
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(elements, max_size=40), elements,
+@given(st.lists(reference.ids, max_size=40), reference.ids,
        st.integers(min_value=0, max_value=2**32))
 def test_no_false_negatives_ever(batch, extra, seed):
     bf = BloomFilter(32, 3, seed=seed)
@@ -308,7 +242,7 @@ def test_no_false_negatives_ever(batch, extra, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(elements, max_size=30), st.lists(elements, max_size=30),
+@given(st.lists(reference.ids, max_size=30), st.lists(reference.ids, max_size=30),
        st.integers(min_value=0, max_value=2**32))
 def test_insertion_is_monotone(first, second, seed):
     small = BloomFilter(64, 4, seed=seed)
@@ -322,7 +256,7 @@ def test_insertion_is_monotone(first, second, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(elements, max_size=30), st.lists(elements, max_size=30),
+@given(st.lists(reference.ids, max_size=30), st.lists(reference.ids, max_size=30),
        st.integers(min_value=0, max_value=2**32))
 def test_union_is_disjunction(first, second, seed):
     left = BloomFilter(64, 4, seed=seed)

@@ -32,7 +32,9 @@ from yesnobf.simulate import (
     sweep,
     trial_outcome,
 )
-from yesnobf.yesno import YesNoFilter, YesNoParams
+from yesnobf.yesno import YesNoParams
+
+import reference
 
 SMALL = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3)
 
@@ -133,14 +135,10 @@ def test_zero_no_filters_trial_replays_as_classic_bloom():
         assert trial_outcome(params, 12, 80, trial_seed)[1].fp_count == expected
 
 
-ids = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
-                st.binary(max_size=12))
-
-
 @settings(max_examples=150, deadline=None)
 @given(count=st.integers(0, 20), size=st.integers(1, 300),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       seed=st.integers(0, 2**64 - 1), batch=st.lists(ids, max_size=40))
+       seed=st.integers(0, 2**64 - 1), batch=st.lists(reference.ids, max_size=40))
 # count 9 reads a second digest block; sizes above 256 need a third byte
 # index bit; size 1 makes every double-mode h2 % size 0
 @example(count=9, size=300, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
@@ -177,17 +175,6 @@ def test_encoded_ids_are_element_to_bytes(values):
     assert simulate._encoded_ids(values) == [element_to_bytes(e) for e in values]
 
 
-def _one_at_a_time(params, n, t, seeds, mode):
-    """Each trial as the library builds one: draw, build, then classify the
-    same two sets, each hashed in its own pass."""
-    outcomes = []
-    for s in seeds:
-        members, candidates = draw_elements(s, n, t)
-        filt, report = YesNoFilter.build(params, members, candidates, s, mode)
-        outcomes.append((report, filt.classify(members, candidates)))
-    return outcomes
-
-
 # (p, q, r, k, k'): k' may be 0 only without no-filters
 pass_geometries = st.tuples(st.integers(1, 30), st.integers(1, 12), st.integers(0, 3),
                             st.integers(1, 6), st.integers(0, 10)).filter(
@@ -207,7 +194,8 @@ pass_geometries = st.tuples(st.integers(1, 30), st.integers(1, 12), st.integers(
 def test_batched_pass_equals_one_trial_at_a_time(geometry, n, t, seeds, mode, guard):
     params = YesNoParams.of(*geometry, allow_false_negatives=not guard)
     got = list(simulate._trial_outcomes(params, n, t, seeds, mode))
-    assert got == _one_at_a_time(params, n, t, seeds, mode)
+    assert got == [reference.trial(params, *draw_elements(s, n, t), s, mode)
+                   for s in seeds]
 
 
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
@@ -215,7 +203,8 @@ def test_batched_pass_crosses_a_chunk_boundary(mode):
     params = YesNoParams.of(p=24, q=6, r=2, k=3, k_prime=2)
     seeds = [derive_seed(4, i) for i in range(simulate._CHUNK_TRIALS + 1)]
     got = list(simulate._trial_outcomes(params, 8, 30, seeds, mode))
-    assert got == _one_at_a_time(params, 8, 30, seeds, mode)
+    assert got == [reference.trial(params, *draw_elements(s, 8, 30), s, mode)
+                   for s in seeds]
     assert any(report.r_count for report, _ in got)
 
 

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yesnobf import bitcore, topology, yesno
-from yesnobf.bitcore import (
-    MODE_DOUBLE,
-    MODE_RANDOM,
-    BloomFilter,
-    derive_seed,
-    element_to_bytes,
-)
+from yesnobf.bitcore import MODE_DOUBLE, MODE_RANDOM, derive_seed
 from yesnobf.corpus import default_corpus
 from yesnobf.topology import (
     AGGREGATE_CSV_HEADER,
@@ -33,7 +27,9 @@ from yesnobf.topology import (
     write_edgelist,
     write_graphml,
 )
-from yesnobf.yesno import YesNoFilter, YesNoParams
+from yesnobf.yesno import YesNoParams
+
+import reference
 
 
 def test_graph_normalizes_edges():
@@ -287,18 +283,13 @@ def test_classic_baseline_counts_match_a_bloom_filter(name, k_bf, mode):
     exp = PathExperiment.from_graph(name, graph, params=params, k_bf=k_bf,
                                     allocations=50)
     res = run_topology_experiment(exp, seed=5, mode=mode)
+    # with no no-filters, the reference is a classic m-bit, k_bf-hash filter
+    classic = YesNoParams.of(p=params.m, q=1, r=0, k=k_bf, k_prime=0)
     s_ids = [link.id for link in exp.s_links]
-    t_datas = [element_to_bytes(link.id) for link in exp.t_links]
-    expected = []
-    for index in range(exp.allocations):
-        bf = BloomFilter(exp.params.m, exp.k_bf, seed=derive_seed(5, name, index),
-                         mode=mode)
-        for e in s_ids:
-            bf.insert(e)
-        # whole masks, not the early-exit read that contains and the
-        # experiment share
-        expected.append(sum(m & bf.mask == m
-                            for m in bf.family.encoded_masks(t_datas)))
+    t_ids = [link.id for link in exp.t_links]
+    expected = [reference.trial(classic, s_ids, t_ids, derive_seed(5, name, index),
+                                mode)[1].fp_count
+                for index in range(exp.allocations)]
     assert res.bf_counts == tuple(expected)
     assert sum(expected) > 0
 
@@ -326,11 +317,9 @@ def test_allocations_match_the_reference_kernel(exp, seed, mode):
     res = run_topology_experiment(exp, seed=seed, mode=mode)
     s_ids = [link.id for link in exp.s_links]
     t_ids = [link.id for link in exp.t_links]
-    expected = []
-    for i in range(exp.allocations):
-        filt, _ = YesNoFilter.build(exp.params, s_ids, t_ids,
-                                    derive_seed(seed, exp.name, i), mode)
-        expected.append(filt.classify(s_ids, t_ids).fp_count)
+    expected = [reference.trial(exp.params, s_ids, t_ids,
+                                derive_seed(seed, exp.name, i), mode)[1].fp_count
+                for i in range(exp.allocations)]
     assert res.yesno_counts == tuple(expected)
 
 

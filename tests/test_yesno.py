@@ -12,35 +12,13 @@ from yesnobf.bitcore import (
     element_to_bytes,
 )
 from yesnobf.topology import Graph, PathExperiment, run_topology_experiment
-from yesnobf.yesno import (
-    ConstructionReport,
-    QueryResult,
-    Sketcher,
-    YesNoFilter,
-    YesNoParams,
-)
+from yesnobf.yesno import QueryResult, Sketcher, YesNoFilter, YesNoParams
 
-# the hash-stream oracle built from the definition
-from test_bitcore import _bits, _reference_positions
+import reference
 
 FIXTURE_SEED = 0
 FIXTURE_ELEMENT = 5063
 FIXTURE_PARAMS = YesNoParams.of(p=13, q=2, r=2, k=3, k_prime=1)
-
-
-def _mask(length, positions):
-    """The int mask with the given bits set, each checked to be below length."""
-    mask = 0
-    for pos in positions:
-        if not 0 <= pos < length:
-            raise ValueError(f"position {pos} out of range [0, {length})")
-        mask |= 1 << pos
-    return mask
-
-
-def _positions(mask):
-    """Indices of the set bits of an int mask, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def test_params_arithmetic_and_fields():
@@ -51,13 +29,12 @@ def test_params_arithmetic_and_fields():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(m=255, p=160, q=32, r=3, k=4, k_prime=5),   # m != p + q*r
-    dict(m=256, p=0, q=128, r=2, k=4, k_prime=5),    # empty yes-filter
-    dict(m=256, p=160, q=32, r=-1, k=4, k_prime=5),
-    dict(m=192, p=64, q=64, r=2, k=4, k_prime=5),    # q must stay below p
-    dict(m=256, p=160, q=32, r=3, k=0, k_prime=5),
-    dict(m=256, p=160, q=32, r=3, k=4, k_prime=0),   # r > 0 needs hashes
-    dict(m=256, p=160, q=32, r=3, k=4, k_prime=-1),
+    dict(p=0, q=128, r=2, k=4, k_prime=5),    # empty yes-filter
+    dict(p=160, q=32, r=-1, k=4, k_prime=5),
+    dict(p=64, q=64, r=2, k=4, k_prime=5),    # q must stay below p
+    dict(p=160, q=32, r=3, k=0, k_prime=5),
+    dict(p=160, q=32, r=3, k=4, k_prime=0),   # r > 0 needs hashes
+    dict(p=160, q=32, r=3, k=4, k_prime=-1),
 ])
 def test_params_rejects_bad_geometry(kwargs):
     with pytest.raises(ValueError):
@@ -65,9 +42,8 @@ def test_params_rejects_bad_geometry(kwargs):
 
 
 def test_pinned_sketch():
-    yes_part, no_part = Sketcher(FIXTURE_PARAMS, seed=FIXTURE_SEED).sketch(FIXTURE_ELEMENT)
-    assert _positions(yes_part) == (1, 4, 11)
-    assert _positions(no_part) == (1,)
+    assert Sketcher(FIXTURE_PARAMS, seed=FIXTURE_SEED).sketch(FIXTURE_ELEMENT) == \
+           (reference.mask([1, 4, 11]), reference.mask([1]))
 
 
 def test_sketch_parts_are_the_family_masks():
@@ -78,25 +54,19 @@ def test_sketch_parts_are_the_family_masks():
         HashFamily(p.k_prime, p.q, seed=FIXTURE_SEED).element_mask(FIXTURE_ELEMENT))
 
 
-ids = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
-                st.binary(max_size=12))
-
-
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(1, 12), k_prime=st.integers(1, 12),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       seed=st.integers(0, 2**64 - 1), elements=st.lists(ids, max_size=20))
-# ids past 64 bits and below zero take the decimal encoding; k 9 walks two
-# digest blocks per element
+       seed=st.integers(0, 2**64 - 1), elements=st.lists(reference.ids, max_size=20))
+# ids past 64 bits and below zero; k 9 walks two digest blocks per element
 @example(k=9, k_prime=8, mode=MODE_RANDOM, seed=1,
          elements=[2**64, 2**64 - 1, -1, 0, "", b"", "link"])
 @example(k=4, k_prime=9, mode=MODE_DOUBLE, seed=1, elements=[])
 def test_sketch_is_the_walked_digest_stream(k, k_prime, mode, seed, elements):
-    sk = Sketcher(YesNoParams.of(p=300, q=40, r=1, k=k, k_prime=k_prime), seed, mode)
-    walked = [(_bits(_reference_positions(k, 300, seed, e, mode)),
-               _bits(_reference_positions(k_prime, 40, seed, e, mode)))
-              for e in elements]
-    assert [sk.sketch(e) for e in elements] == walked
+    params = YesNoParams.of(p=300, q=40, r=1, k=k, k_prime=k_prime)
+    sk = Sketcher(params, seed, mode)
+    assert [sk.sketch(e) for e in elements] == \
+           [reference.sketch(params, seed, e, mode) for e in elements]
 
 
 def test_sketching_rejects_unsupported_ids():
@@ -113,8 +83,8 @@ def test_sketching_rejects_unsupported_ids():
         filt.classify([1], [2.5])
 
 
-def _sk(p, q, yes_bits, no_bits):
-    return _mask(p, yes_bits), _mask(q, no_bits)
+def _sk(yes_bits, no_bits):
+    return reference.mask(yes_bits), reference.mask(no_bits)
 
 
 class TestHandWalkedConstruction:
@@ -123,14 +93,13 @@ class TestHandWalkedConstruction:
     PARAMS = YesNoParams.of(p=8, q=4, r=2, k=2, k_prime=2)
 
     def _build(self):
-        p, q = 8, 4
-        members = [_sk(p, q, (0, 1), (0, 1)), _sk(p, q, (2, 3), (2, 3))]
+        members = [_sk((0, 1), (0, 1)), _sk((2, 3), (2, 3))]
         candidates = [
-            _sk(p, q, (0, 2), (0, 2)),  # placed in no-filter 0
-            _sk(p, q, (1, 3), (1, 3)),  # 0 would swallow member 0 -> filter 1
-            _sk(p, q, (0, 3), (0, 1)),  # both filters guarded -> unmitigated
-            _sk(p, q, (4, 5), (0, 1)),  # fails the yes stage, not an FP
-            _sk(p, q, (1, 2), (0, 2)),  # fits filter 0 without new bits
+            _sk((0, 2), (0, 2)),  # placed in no-filter 0
+            _sk((1, 3), (1, 3)),  # 0 would swallow member 0 -> filter 1
+            _sk((0, 3), (0, 1)),  # both filters guarded -> unmitigated
+            _sk((4, 5), (0, 1)),  # fails the yes stage, not an FP
+            _sk((1, 2), (0, 2)),  # fits filter 0 without new bits
         ]
         return YesNoFilter.build_from_sketches(self.PARAMS, members, candidates)
 
@@ -144,29 +113,26 @@ class TestHandWalkedConstruction:
 
     def test_final_bit_patterns(self):
         filt, _ = self._build()
-        assert _positions(filt.yes_filter) == (0, 1, 2, 3)
-        assert _positions(filt.no_filters[0]) == (0, 2)
-        assert _positions(filt.no_filters[1]) == (1, 3)
+        assert filt.yes_filter == reference.mask((0, 1, 2, 3))
+        assert filt.no_filters == [reference.mask((0, 2)), reference.mask((1, 3))]
 
     def test_query_outcomes(self):
         filt, _ = self._build()
-        p, q = 8, 4
-        assert filt.query_sketch(_sk(p, q, (0, 1), (0, 1))) is QueryResult.POSITIVE
-        assert filt.query_sketch(_sk(p, q, (4, 5), (0, 1))) is QueryResult.NEGATIVE_YES_STAGE
-        assert filt.query_sketch(_sk(p, q, (0, 2), (0, 2))) is QueryResult.NEGATIVE_NO_STAGE
+        assert filt.query_sketch(_sk((0, 1), (0, 1))) is QueryResult.POSITIVE
+        assert filt.query_sketch(_sk((4, 5), (0, 1))) is QueryResult.NEGATIVE_YES_STAGE
+        assert filt.query_sketch(_sk((0, 2), (0, 2))) is QueryResult.NEGATIVE_NO_STAGE
         # the unmitigated false positive still answers yes
-        assert filt.query_sketch(_sk(p, q, (0, 3), (0, 1))) is QueryResult.POSITIVE
+        assert filt.query_sketch(_sk((0, 3), (0, 1))) is QueryResult.POSITIVE
 
     def test_classification_partition(self):
         filt, _ = self._build()
-        p, q = 8, 4
-        member_pairs = [("m0", _sk(p, q, (0, 1), (0, 1))),
-                        ("m1", _sk(p, q, (2, 3), (2, 3)))]
-        candidate_pairs = [("c0", _sk(p, q, (0, 2), (0, 2))),
-                           ("c1", _sk(p, q, (1, 3), (1, 3))),
-                           ("c2", _sk(p, q, (0, 3), (0, 1))),
-                           ("c3", _sk(p, q, (4, 5), (0, 1))),
-                           ("c4", _sk(p, q, (1, 2), (0, 2)))]
+        member_pairs = [("m0", _sk((0, 1), (0, 1))),
+                        ("m1", _sk((2, 3), (2, 3)))]
+        candidate_pairs = [("c0", _sk((0, 2), (0, 2))),
+                           ("c1", _sk((1, 3), (1, 3))),
+                           ("c2", _sk((0, 3), (0, 1))),
+                           ("c3", _sk((4, 5), (0, 1))),
+                           ("c4", _sk((1, 2), (0, 2)))]
         got = filt.classify_sketches(member_pairs, candidate_pairs)
         assert got.true_positives == ["m0", "m1"]
         assert got.false_negatives == []
@@ -311,12 +277,18 @@ def test_serialization_round_trip():
     text = filt.to_bitstring()
     assert len(text) == params.m
     assert set(text) <= {"0", "1"}
-    back = YesNoFilter.from_bitstring(params, text, seed=3)
+    back = YesNoFilter.from_bitstring(params, text, seed=3, mode=MODE_RANDOM)
     assert back == filt
     assert [back.query(e) for e in members + candidates] == \
            [filt.query(e) for e in members + candidates]
     with pytest.raises(ValueError):
-        YesNoFilter.from_bitstring(params, text + "0", seed=3)
+        YesNoFilter.from_bitstring(params, text + "0", seed=3, mode=MODE_RANDOM)
+    # the bits do not hold the hashing, so a load must name it, by keyword
+    for hashing in ({}, {"seed": 3}, {"mode": MODE_RANDOM}):
+        with pytest.raises(TypeError):
+            YesNoFilter.from_bitstring(params, text, **hashing)
+    with pytest.raises(TypeError):
+        YesNoFilter.from_bitstring(params, text, 3, MODE_RANDOM)
 
 
 def test_constructor_validates_part_lengths():
@@ -342,7 +314,7 @@ def test_from_bitstring_rejects_other_characters(bad):
     for at in (0, 5, params.m - 1):
         text = "1" * at + bad + "1" * (params.m - at - 1)
         with pytest.raises(ValueError):
-            YesNoFilter.from_bitstring(params, text)
+            YesNoFilter.from_bitstring(params, text, seed=0, mode=MODE_RANDOM)
 
 
 # --- properties ----------------------------------------------------------
@@ -366,7 +338,8 @@ def test_property_round_trip_preserves_answers(members, extra, seed):
     params = YesNoParams.of(p=48, q=8, r=2, k=3, k_prime=2)
     candidates = sorted(extra - members)
     filt, _ = YesNoFilter.build(params, sorted(members), candidates, seed=seed)
-    back = YesNoFilter.from_bitstring(params, filt.to_bitstring(), seed=seed)
+    back = YesNoFilter.from_bitstring(params, filt.to_bitstring(), seed=seed,
+                                      mode=MODE_RANDOM)
     probes = sorted(members) + candidates + list(range(50))
     assert [back.query(e) for e in probes] == [filt.query(e) for e in probes]
 
@@ -391,35 +364,6 @@ geometries = st.tuples(st.integers(2, 64), st.integers(1, 12), st.integers(0, 3)
     lambda g: g[1] < g[0])
 
 
-def _plain_first_fit(params, member_sketches, candidate_sketches):
-    """Reference construction: greedy first-fit, where the guard scans every
-    member's no-pattern for each placement it considers."""
-    yes_mask = 0
-    member_no_masks = []
-    for y, mn in member_sketches:
-        yes_mask |= y
-        member_no_masks.append(mn)
-    no_masks = [0] * params.r
-    loads = [0] * params.r
-    f_count = r_count = 0
-    for y, fno in candidate_sketches:
-        if y & yes_mask != y:
-            continue
-        f_count += 1
-        for j in range(params.r):
-            candidate_mask = no_masks[j] | fno
-            if not params.allow_false_negatives and any(
-                    mn & candidate_mask == mn for mn in member_no_masks):
-                continue
-            no_masks[j] = candidate_mask
-            loads[j] += 1
-            r_count += 1
-            break
-    report = ConstructionReport(len(member_sketches), len(candidate_sketches),
-                                f_count, r_count, f_count - r_count, tuple(loads))
-    return yes_mask, no_masks, report
-
-
 def _saturating(q_min, q_max, n_max):
     """(p, q, r, k, k', n) with a yes-filter just wider than a no-filter:
     nearly every candidate is a yes-stage false positive, so the no-filters
@@ -427,53 +371,6 @@ def _saturating(q_min, q_max, n_max):
     return st.tuples(st.integers(1, 12), st.integers(q_min, q_max), st.integers(0, 8),
                      st.integers(1, 3), st.integers(1, 4), st.integers(0, n_max)).map(
         lambda g: (g[0] + g[1],) + g[1:])
-
-
-@settings(max_examples=120, deadline=None)
-@given(shape=st.one_of(_saturating(1, 12, 20),
-                       # serve-sized: guard lanes straddle 30-bit int digits
-                       # and 64-bit words
-                       _saturating(24, 70, 80)),
-       t=st.integers(0, 400), base=st.integers(0, 2**32),
-       seed=st.integers(0, 2**32 - 1),
-       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]), guard=st.booleans())
-def test_property_build_matches_plain_first_fit(shape, t, base, seed, mode, guard):
-    p, q, r, k, k_prime, n = shape
-    params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
-    sk = Sketcher(params, seed, mode)
-    members = [sk.sketch(base + i) for i in range(n)]
-    candidates = [sk.sketch(base + n + i) for i in range(t)]
-    built, report = YesNoFilter.build_from_sketches(params, members, candidates,
-                                                    seed=seed, mode=mode)
-    yes_mask, no_masks, expected = _plain_first_fit(params, members, candidates)
-    assert built.yes_filter == yes_mask
-    assert built.no_filters == no_masks
-    assert report == expected
-
-
-@settings(max_examples=80, deadline=None)
-@given(shape=_saturating(1, 12, 20), t=st.integers(0, 200), base=st.integers(0, 2**32),
-       seed=st.integers(0, 2**32 - 1), guard=st.booleans())
-def test_property_classify_files_each_element_where_query_sketch_says(
-        shape, t, base, seed, guard):
-    p, q, r, k, k_prime, n = shape
-    params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
-    sk = Sketcher(params, seed)
-    member_pairs = [(base + i, sk.sketch(base + i)) for i in range(n)]
-    candidate_pairs = [(base + n + i, sk.sketch(base + n + i)) for i in range(t)]
-    filt, _ = YesNoFilter.build_from_sketches(
-        params, [s for _, s in member_pairs], [s for _, s in candidate_pairs],
-        seed=seed)
-    got = filt.classify_sketches(member_pairs, candidate_pairs)
-    assert got.true_positives == [e for e, s in member_pairs
-                                  if filt.query_sketch(s) is QueryResult.POSITIVE]
-    assert got.false_negatives == [e for e, s in member_pairs
-                                   if filt.query_sketch(s) is not QueryResult.POSITIVE]
-    for outcome, filed in ((QueryResult.NEGATIVE_YES_STAGE, got.yes_stage_negatives),
-                           (QueryResult.NEGATIVE_NO_STAGE, got.no_stage_rejections),
-                           (QueryResult.POSITIVE, got.residual_false_positives)):
-        assert filed == [e for e, s in candidate_pairs
-                         if filt.query_sketch(s) is outcome]
 
 
 def test_classify_and_contains_obey_an_overriding_query_sketch():
@@ -519,35 +416,48 @@ def test_classify_and_contains_obey_an_overriding_query_sketch():
     assert recorder.shown == expected
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=320, deadline=None)
 @given(case=st.one_of(
            st.tuples(geometries, element_sets, element_sets).map(
                lambda g: (g[0], sorted(g[1]), sorted(g[2] - g[1]))),
-           st.tuples(_saturating(1, 12, 20), st.integers(0, 200),
-                     st.integers(0, 2**32)).map(
+           st.tuples(st.one_of(_saturating(1, 12, 20),
+                               # serve-sized: guard lanes straddle 30-bit int
+                               # digits and 64-bit words
+                               _saturating(24, 70, 80)),
+                     st.integers(0, 400), st.integers(0, 2**32)).map(
                lambda g: (g[0][:5], list(range(g[2], g[2] + g[0][5])),
                           list(range(g[2] + g[0][5], g[2] + g[0][5] + g[1]))))),
        seed=st.integers(0, 2**32 - 1), mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
        guard=st.booleans())
 def test_property_kernels_match_the_full_sketch_oracle(case, seed, mode, guard):
-    """The kernels hash a no part only where it is read; fed the full sketch
-    of every element, the construction and classification cores must agree."""
+    """Construction, classification and queries agree with the reference:
+    the cores fed full sketches, and build, classify and query, which hash
+    a no part only where it is read."""
     (p, q, r, k, k_prime), members, candidates = case
     params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
-    sk = Sketcher(params, seed, mode)
-    member_pairs = [(e, sk.sketch(e)) for e in members]
-    candidate_pairs = [(e, sk.sketch(e)) for e in candidates]
-    filt, report = YesNoFilter.build_from_sketches(
-        params, [s for _, s in member_pairs], [s for _, s in candidate_pairs],
-        seed=seed, mode=mode)
-    classification = filt.classify_sketches(member_pairs, candidate_pairs)
+    member_pairs = [(e, reference.sketch(params, seed, e, mode)) for e in members]
+    candidate_pairs = [(e, reference.sketch(params, seed, e, mode)) for e in candidates]
+    member_sketches = [s for _, s in member_pairs]
+    candidate_sketches = [s for _, s in candidate_pairs]
+    yes_mask, no_masks, report = reference.first_fit(params, member_sketches,
+                                                     candidate_sketches)
+    expected = reference.classify(yes_mask, no_masks, member_pairs, candidate_pairs)
 
+    filt, filt_report = YesNoFilter.build_from_sketches(
+        params, member_sketches, candidate_sketches, seed=seed, mode=mode)
+    assert (filt.yes_filter, filt.no_filters, filt_report) == \
+           (yes_mask, no_masks, report)
+    assert filt.classify_sketches(member_pairs, candidate_pairs) == expected
     built, built_report = YesNoFilter.build(params, members, candidates, seed, mode)
     assert (built, built_report) == (filt, report)
-    assert built.classify(members, candidates) == classification
-    fresh = [f"fresh-{i}" for i in range(20)]
-    assert [built.query(e) for e in members + candidates + fresh] == \
-           [filt.query_sketch(sk.sketch(e)) for e in members + candidates + fresh]
+    assert built.classify(members, candidates) == expected
+
+    probe_pairs = member_pairs + candidate_pairs + [
+        (e, reference.sketch(params, seed, e, mode))
+        for e in (f"fresh-{i}" for i in range(20))]
+    answers = [reference.query(yes_mask, no_masks, s) for _, s in probe_pairs]
+    assert [filt.query_sketch(s) for _, s in probe_pairs] == answers
+    assert [built.query(e) for e, _ in probe_pairs] == answers
 
 
 def _record_walks(monkeypatch):
