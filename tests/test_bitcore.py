@@ -164,35 +164,49 @@ def test_small_filter_fp_rate_matches_rational_oracle():
 
 # --- properties ----------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(0, 20), size=st.integers(1, 300),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       seed=st.integers(0, 2**64 - 1), element=reference.ids)
+@example(count=20, size=300, mode=MODE_RANDOM, seed=1, element=2**70)
+# one digest block, then the first chunk of a second one
+@example(count=8, size=300, mode=MODE_RANDOM, seed=5, element="edge")
+@example(count=9, size=300, mode=MODE_RANDOM, seed=5, element="edge")
+# size 1 makes every h2 % size 0, so the stride is 1; so does h2 % 12 == 0
+# for the elements 3, 7 and 37 of the (6, 12, seed 0) family
+@example(count=4, size=1, mode=MODE_DOUBLE, seed=0, element=3)
+@example(count=6, size=12, mode=MODE_DOUBLE, seed=0, element=3)
+@example(count=20, size=257, mode=MODE_DOUBLE, seed=5, element="edge")
+# ranges past the shared bit table shift instead
+@example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=5, element="edge")
+@example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=5, element="edge")
+def test_element_mask_matches_reference_stream(count, size, mode, seed, element):
+    fam = HashFamily(count, size, mode=mode, seed=seed)
+    expected = reference.positions(count, size, seed, element, mode)
+    assert len(expected) == count
+    assert fam.element_mask(element) == reference.mask(expected)
+
+
+@settings(max_examples=150, deadline=None)
 @given(count=st.integers(0, 20), size=st.integers(1, 500),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
        seed=st.integers(0, 2**64 - 1), batch=st.lists(reference.ids, max_size=12))
-@example(count=20, size=300, mode=MODE_RANDOM, seed=1, batch=[2**70])
-# one digest block per element, then the first chunk of a second one
-@example(count=8, size=300, mode=MODE_RANDOM, seed=5, batch=["edge"])
-@example(count=9, size=300, mode=MODE_RANDOM, seed=5, batch=["edge"])
+# one digest block per element, then two; and an empty list
 @example(count=8, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
 @example(count=9, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
-# size 1 makes every h2 % size 0, so the stride is 1; so does h2 % 12 == 0
-# for the elements 3, 7 and 37 of the (6, 12, seed 0) family
 @example(count=4, size=1, mode=MODE_DOUBLE, seed=0, batch=[3])
-@example(count=6, size=12, mode=MODE_DOUBLE, seed=0, batch=[3])
-@example(count=20, size=257, mode=MODE_DOUBLE, seed=5, batch=["edge"])
-# ranges past the shared bit table shift instead
-@example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=5, batch=["edge"])
-@example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=5, batch=["edge"])
-# an empty list; no functions, so every mask is empty
 @example(count=5, size=100, mode=MODE_RANDOM, seed=0, batch=[])
+# no functions: every mask is empty
 @example(count=0, size=100, mode=MODE_RANDOM, seed=0, batch=[3, "x"])
 @example(count=0, size=100, mode=MODE_DOUBLE, seed=0, batch=[3, "x"])
-def test_element_mask_matches_reference_stream(count, size, mode, seed, batch):
+def test_encoded_masks_batch_is_per_item_and_reference(count, size, mode, seed,
+                                                       batch):
     fam = HashFamily(count, size, mode=mode, seed=seed)
-    expected = [reference.positions(count, size, seed, e, mode) for e in batch]
-    assert all(len(got) == count for got in expected)
-    masks = [reference.mask(got) for got in expected]
-    assert [fam.element_mask(e) for e in batch] == masks
-    assert fam.encoded_masks([element_to_bytes(e) for e in batch]) == masks
+    datas = [element_to_bytes(e) for e in batch]
+    got = fam.encoded_masks(datas)
+    assert got == [fam.encoded_masks((d,))[0] for d in datas]
+    assert got == [reference.element_mask(count, size, seed, e, mode)
+                   for e in batch]
 
 
 @settings(max_examples=150, deadline=None)

@@ -373,6 +373,53 @@ def _saturating(q_min, q_max, n_max):
         lambda g: (g[0] + g[1],) + g[1:])
 
 
+@settings(max_examples=120, deadline=None)
+@given(shape=st.one_of(_saturating(1, 12, 20),
+                       # serve-sized: guard lanes straddle 30-bit int digits
+                       # and 64-bit words
+                       _saturating(24, 70, 80)),
+       t=st.integers(0, 400), base=st.integers(0, 2**32),
+       seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]), guard=st.booleans())
+def test_property_build_matches_plain_first_fit(shape, t, base, seed, mode, guard):
+    p, q, r, k, k_prime, n = shape
+    params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
+    sk = Sketcher(params, seed, mode)
+    members = [sk.sketch(base + i) for i in range(n)]
+    candidates = [sk.sketch(base + n + i) for i in range(t)]
+    built, report = YesNoFilter.build_from_sketches(params, members, candidates,
+                                                    seed=seed, mode=mode)
+    yes_mask, no_masks, expected = reference.first_fit(params, members, candidates)
+    assert built.yes_filter == yes_mask
+    assert built.no_filters == no_masks
+    assert report == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_saturating(1, 12, 20), t=st.integers(0, 200), base=st.integers(0, 2**32),
+       seed=st.integers(0, 2**32 - 1), guard=st.booleans())
+def test_property_classify_files_each_element_where_query_sketch_says(
+        shape, t, base, seed, guard):
+    p, q, r, k, k_prime, n = shape
+    params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
+    sk = Sketcher(params, seed)
+    member_pairs = [(base + i, sk.sketch(base + i)) for i in range(n)]
+    candidate_pairs = [(base + n + i, sk.sketch(base + n + i)) for i in range(t)]
+    filt, _ = YesNoFilter.build_from_sketches(
+        params, [s for _, s in member_pairs], [s for _, s in candidate_pairs],
+        seed=seed)
+    got = filt.classify_sketches(member_pairs, candidate_pairs)
+    assert got.true_positives == [e for e, s in member_pairs
+                                  if filt.query_sketch(s) is QueryResult.POSITIVE]
+    assert got.false_negatives == [e for e, s in member_pairs
+                                   if filt.query_sketch(s) is not QueryResult.POSITIVE]
+    for outcome, filed in ((QueryResult.NEGATIVE_YES_STAGE, got.yes_stage_negatives),
+                           (QueryResult.NEGATIVE_NO_STAGE, got.no_stage_rejections),
+                           (QueryResult.POSITIVE, got.residual_false_positives)):
+        assert filed == [e for e, s in candidate_pairs
+                         if filt.query_sketch(s) is outcome]
+
+
 def test_classify_and_contains_obey_an_overriding_query_sketch():
     class SaysNoTo(YesNoFilter):
         __slots__ = ("refused",)
@@ -416,7 +463,7 @@ def test_classify_and_contains_obey_an_overriding_query_sketch():
     assert recorder.shown == expected
 
 
-@settings(max_examples=320, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(case=st.one_of(
            st.tuples(geometries, element_sets, element_sets).map(
                lambda g: (g[0], sorted(g[1]), sorted(g[2] - g[1]))),
