@@ -111,19 +111,13 @@ def f_E_single_no_filter(p: int, q: int, k: int, k_prime: int, n: int,
     (1 - e^(-k*n/p))^k * (1 - (1 - e^(-k'*load/q))^k'), where load is the
     number of elements stored in the no-filter. It defaults to n, the usual
     shortcut; pass the actual stored count when it is known, since the
-    no-filter holds recorded false positives rather than members.
+    no-filter holds recorded false positives rather than members. Both
+    factors are fp_prob_approx, so a shape FilterShape refuses raises
+    ValueError.
     """
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
-    if k < 1 or k_prime < 1:
-        raise ValueError("k and k_prime must be positive")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     load = float(n) if no_filter_load is None else float(no_filter_load)
-    if load < 0:
-        raise ValueError(f"no_filter_load must be >= 0, got {load}")
-    f_s = (1.0 - math.exp(-k * n / p)) ** k
-    f_r = (1.0 - math.exp(-k_prime * load / q)) ** k_prime
+    f_s = fp_prob_approx(FilterShape(p, k, n))
+    f_r = fp_prob_approx(FilterShape(q, k_prime, load))
     return f_s * (1.0 - f_r)
 
 

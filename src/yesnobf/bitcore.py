@@ -69,7 +69,9 @@ class _ShiftedBits:
 @lru_cache(maxsize=256)
 def _shape(count: int, range_size: int, mode: str) -> tuple:
     """(digest suffixes, digest size, stream reader, bit table) of a
-    family shape: the one place a hash mode is decided.
+    family shape: the one place bitcore decides a hash mode. The sweep's
+    numpy pass, simulate._hash_rows, carries a copy of both position
+    rules, which its tests hold to encoded_masks.
 
     An element's digests are of its encoding + each suffix, and the reader
     turns its stream into count chunks, chunk i giving position

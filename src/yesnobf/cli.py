@@ -38,13 +38,29 @@ def _write_output(text: str, destination: str | None) -> None:
         Path(destination).write_text(text, encoding="utf-8")
 
 
-def _add_geometry_flags(parser, p, q, r, k, k_prime):
-    parser.add_argument("--p", type=int, default=p, help="yes-filter bits")
-    parser.add_argument("--q", type=int, default=q, help="bits per no-filter")
-    parser.add_argument("--r", type=int, default=r, help="number of no-filters")
-    parser.add_argument("--k", type=int, default=k, help="yes-filter hash count")
-    parser.add_argument("--k-prime", type=int, default=k_prime,
+def _add_geometry_flags(parser, base):
+    """--p, --q, --r, --k and --k-prime, defaulting to base's geometry."""
+    parser.add_argument("--p", type=int, default=base.p, help="yes-filter bits")
+    parser.add_argument("--q", type=int, default=base.q, help="bits per no-filter")
+    parser.add_argument("--r", type=int, default=base.r, help="number of no-filters")
+    parser.add_argument("--k", type=int, default=base.k, help="yes-filter hash count")
+    parser.add_argument("--k-prime", type=int, default=base.k_prime,
                         help="no-filter hash count")
+
+
+def _parse_range(text: str) -> tuple[int, int, int]:
+    parts = text.split(":")
+    if len(parts) not in (2, 3):
+        raise argparse.ArgumentTypeError(
+            f"range must be LO:HI or LO:HI:STEP, got {text!r}")
+    try:
+        numbers = [int(part) for part in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"range parts must be integers, got {text!r}") from None
+    if len(numbers) == 2:
+        numbers.append(1)
+    return numbers[0], numbers[1], numbers[2]
 
 
 def _cmd_analyze(args) -> int:
@@ -76,16 +92,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    swept = args.var
-    if swept == "r":
-        swept = "r_fixed_p" if args.mode == "fixed_p" else "r_fixed_m"
-    elif args.mode is not None:
-        raise ValueError("--mode only applies to --var r")
     config = simulate.SweepConfig(
-        swept=swept, start=args.range[0], stop=args.range[1], step=args.range[2],
-        p=args.p, q=args.q, r=args.r, k=args.k, k_prime=args.k_prime,
-        n=args.n, t=args.t, trials=args.trials, seed=args.seed, k_bf=args.k_bf,
-        mode=_HASH_MODES[args.hash_mode],
+        args.var, *args.range, p=args.p, q=args.q, r=args.r, k=args.k,
+        k_prime=args.k_prime, n=args.n, t=args.t, trials=args.trials,
+        seed=args.seed, k_bf=args.k_bf, mode=_HASH_MODES[args.hash_mode],
         allow_false_negatives=args.allow_false_negatives)
     _write_output(simulate.sweep(config).to_csv(), args.output)
     return 0
@@ -174,18 +184,17 @@ def build_parser() -> _Parser:
     p_an.set_defaults(func=_cmd_analyze)
 
     p_sw = sub.add_parser("sweep", help="Monte-Carlo sweep to CSV")
-    p_sw.add_argument("--var", required=True,
-                      choices=["k", "k_prime", "n", "q", "r", "r_fixed_p", "r_fixed_m"])
-    p_sw.add_argument("--mode", choices=["fixed_p", "fixed_m"], default=None,
-                      help="with --var r: which length stays fixed (default fixed_m)")
-    p_sw.add_argument("--range", required=True, metavar="LO:HI[:STEP]",
-                      help="inclusive integer range")
-    p_sw.add_argument("--trials", type=int, default=10_000)
-    p_sw.add_argument("--seed", type=int, default=0)
-    _add_geometry_flags(p_sw, p=160, q=32, r=3, k=4, k_prime=5)
-    p_sw.add_argument("--n", type=int, default=30)
-    p_sw.add_argument("--t", type=int, default=100)
-    p_sw.add_argument("--k-bf", type=int, default=6,
+    # swept, start and stop have no default; the rest are the sweep's
+    base = simulate.SweepConfig(simulate.SWEPT_CHOICES[0], 0, 0)
+    p_sw.add_argument("--var", required=True, choices=simulate.SWEPT_CHOICES)
+    p_sw.add_argument("--range", required=True, type=_parse_range,
+                      metavar="LO:HI[:STEP]", help="inclusive integer range")
+    p_sw.add_argument("--trials", type=int, default=base.trials)
+    p_sw.add_argument("--seed", type=int, default=base.seed)
+    _add_geometry_flags(p_sw, base)
+    p_sw.add_argument("--n", type=int, default=base.n)
+    p_sw.add_argument("--t", type=int, default=base.t)
+    p_sw.add_argument("--k-bf", type=int, default=base.k_bf,
                       help="hash count of the analytic m-length baseline "
                            "(ignored when sweeping k or n, which set it per point)")
     p_sw.add_argument("--hash-mode", choices=sorted(_HASH_MODES), default="random")
@@ -203,7 +212,7 @@ def build_parser() -> _Parser:
                       help="use this node path instead of the selected one")
     p_tp.add_argument("--exclude-reverse", action="store_true",
                       help="drop reverse-path links from the queryable set")
-    _add_geometry_flags(p_tp, p=192, q=32, r=2, k=4, k_prime=3)
+    _add_geometry_flags(p_tp, topology.DEFAULT_PARAMS)
     p_tp.add_argument("--k-bf", type=int, default=topology.DEFAULT_K_BF,
                       help="hash count of the classic-BF comparison structure")
     p_tp.add_argument("--output", default=None, metavar="FILE",
@@ -219,31 +228,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_range(text: str) -> tuple[int, int, int]:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(f"range must be LO:HI or LO:HI:STEP, got {text!r}")
-    try:
-        numbers = [int(part) for part in parts]
-    except ValueError:
-        raise ValueError(f"range parts must be integers, got {text!r}") from None
-    if len(numbers) == 2:
-        numbers.append(1)
-    return numbers[0], numbers[1], numbers[2]
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    if getattr(args, "range", None) is not None:
-        try:
-            args.range = _parse_range(args.range)
-        except ValueError as exc:
-            print(f"yesnobf: error: {exc}", file=sys.stderr)
-            return 1
     try:
         return args.func(args)
     except ValueError as exc:

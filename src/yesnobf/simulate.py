@@ -29,7 +29,6 @@ from .yesno import (
     Sketcher,
     YesNoFilter,
     YesNoParams,
-    _check_disjoint_sets,
 )
 
 SWEPT_CHOICES = ("k", "k_prime", "n", "q", "r_fixed_p", "r_fixed_m")
@@ -122,9 +121,10 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
     """Yield the (report, classification) of the trial at each seed, in
     order.
 
-    The trials pass in chunks of _CHUNK_TRIALS. Each trial draws its ids
-    and checks them disjoint as YesNoFilter.build does, and its yes family
-    walks all of them with one digest walk. numpy reduces the chunk's
+    The trials pass in chunks of _CHUNK_TRIALS. Each trial draws its ids,
+    distinct by construction, so nothing re-checks them as
+    YesNoFilter.build does, and its yes family walks all of them with one
+    digest walk. numpy reduces the chunk's
     digests to yes masks, ORs each trial's members into its yes mask and
     picks out the yes-stage hits; each trial's no family walks only its
     hits, reduced the same way. Every trial then builds and classifies
@@ -137,8 +137,7 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
     items = n + t
     trial_seeds = iter(trial_seeds)
     while seeds := list(islice(trial_seeds, _CHUNK_TRIALS)):
-        drawn = [_check_disjoint_sets(*draw_elements(trial_seed, n, t))
-                 for trial_seed in seeds]
+        drawn = [draw_elements(trial_seed, n, t) for trial_seed in seeds]
         encoded = _encoded_ids([e for members, candidates in drawn
                                 for e in members + candidates])
         datas = [encoded[i * items:(i + 1) * items] for i in range(len(seeds))]
@@ -260,28 +259,43 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
 
     def to_csv(self) -> str:
-        return sweep_result_to_csv(self)
+        """Fixed-schema CSV, floats at 6 decimals. A mean_fn column is
+        appended only for sweeps that allow false negatives, and an error
+        column only when some point failed, so guarded clean sweeps keep
+        the plain header."""
+        with_fn = self.config.allow_false_negatives
+        with_errors = any(pt.error is not None for pt in self.points)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER + ("mean_fn",) * with_fn + ("error",) * with_errors)
+        for pt in self.points:
+            if pt.error is not None:
+                row = [pt.swept, pt.value] + [""] * (9 + with_fn) + [pt.error]
+            else:
+                stats = (pt.mean_fp, pt.std_fp, pt.min_fp, pt.q25, pt.median,
+                         pt.q75, pt.max_fp, pt.baseline_bf_m, pt.baseline_bf_p)
+                row = [pt.swept, pt.value] + [
+                    f"{v:.6f}" for v in stats + (pt.mean_fn,) * with_fn]
+                if with_errors:
+                    row.append("")
+            writer.writerow(row)
+        return buf.getvalue()
 
 
 def _point_geometry(config: SweepConfig, value: int) -> tuple[YesNoParams, int]:
-    """Derived (params, n) at one swept value; raises ValueError when the
-    geometry is impossible."""
+    """Derived (params, n) at one swept value: the base geometry with the
+    swept field (r for both r sweeps) set to value. r_fixed_m also sets
+    p = m - q*r, so the total length stays put and the yes-filter gives up
+    the bits. Raises ValueError when the geometry is impossible."""
     c = config
-    afn = c.allow_false_negatives
-    if c.swept == "k":
-        return YesNoParams.of(c.p, c.q, c.r, value, c.k_prime, afn), c.n
-    if c.swept == "k_prime":
-        return YesNoParams.of(c.p, c.q, c.r, c.k, value, afn), c.n
-    if c.swept == "n":
-        if value < 0:
-            raise ValueError(f"n must be >= 0, got {value}")
-        return YesNoParams.of(c.p, c.q, c.r, c.k, c.k_prime, afn), value
-    if c.swept == "q":
-        return YesNoParams.of(c.p, value, c.r, c.k, c.k_prime, afn), c.n
-    if c.swept == "r_fixed_p":
-        return YesNoParams.of(c.p, c.q, value, c.k, c.k_prime, afn), c.n
-    # r_fixed_m: total length stays put, the yes-filter gives up the bits
-    return YesNoParams.of(c.m - c.q * value, c.q, value, c.k, c.k_prime, afn), c.n
+    fields = dict(p=c.p, q=c.q, r=c.r, k=c.k, k_prime=c.k_prime, n=c.n)
+    if c.swept == "n" and value < 0:
+        raise ValueError(f"n must be >= 0, got {value}")
+    fields[c.swept.partition("_fixed_")[0]] = value
+    if c.swept == "r_fixed_m":
+        fields["p"] = c.m - c.q * value
+    n = fields.pop("n")
+    return YesNoParams(**fields, allow_false_negatives=c.allow_false_negatives), n
 
 
 def optimal_hash_count(m: int, n: int) -> int:
@@ -347,25 +361,3 @@ def sweep(config: SweepConfig) -> SweepResult:
         ))
     return SweepResult(config, tuple(points))
 
-
-def sweep_result_to_csv(result: SweepResult) -> str:
-    """Fixed-schema CSV, floats at 6 decimals. A mean_fn column is appended
-    only for sweeps that allow false negatives, and an error column only
-    when some point failed, so guarded clean sweeps keep the plain header."""
-    with_fn = result.config.allow_false_negatives
-    with_errors = any(pt.error is not None for pt in result.points)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER + ("mean_fn",) * with_fn + ("error",) * with_errors)
-    for pt in result.points:
-        if pt.error is not None:
-            row = [pt.swept, pt.value] + [""] * (9 + with_fn) + [pt.error]
-        else:
-            stats = (pt.mean_fp, pt.std_fp, pt.min_fp, pt.q25, pt.median,
-                     pt.q75, pt.max_fp, pt.baseline_bf_m, pt.baseline_bf_p)
-            row = [pt.swept, pt.value] + [
-                f"{v:.6f}" for v in stats + (pt.mean_fn,) * with_fn]
-            if with_errors:
-                row.append("")
-        writer.writerow(row)
-    return buf.getvalue()

@@ -137,6 +137,16 @@ def test_single_no_filter_load_parameter():
     assert heavy < light < base
 
 
+@pytest.mark.parametrize("args, load", [
+    ((0, 32, 4, 5, 30), None), ((160, 0, 4, 5, 30), None),
+    ((160, 32, 0, 5, 30), None), ((160, 32, 4, 0, 30), None),
+    ((160, 32, 4, 5, -1), None), ((160, 32, 4, 5, 30), -1),
+])
+def test_single_no_filter_rejects_bad_shapes(args, load):
+    with pytest.raises(ValueError):
+        f_E_single_no_filter(*args, no_filter_load=load)
+
+
 def test_expected_fp_count_scales_linearly():
     f = float(Fraction(225, 4096))
     assert expected_fp_count(100, f) == pytest.approx(100 * f)

@@ -1,21 +1,31 @@
 """Command-line behavior: output shape, determinism, exit codes."""
 
+import argparse
 import csv
+import dataclasses
+import inspect
 import io
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from yesnobf.analysis import FilterShape, expected_fp_count, fp_prob_exact
-from yesnobf.cli import main
-from yesnobf.simulate import CSV_HEADER
+from yesnobf.cli import _HASH_MODES, build_parser, main
+from yesnobf.simulate import CSV_HEADER, SWEPT_CHOICES, SweepConfig
 from yesnobf.topology import (
     AGGREGATE_CSV_HEADER,
+    DEFAULT_ALLOCATIONS,
+    DEFAULT_K_BF,
+    DEFAULT_PARAMS,
     TOPOLOGY_CSV_HEADER,
     Graph,
+    run_topology_experiment,
     write_edgelist,
 )
+from yesnobf.yesno import YesNoParams
 
 SMALL_GEOMETRY = ["--p", "40", "--q", "8", "--r", "2", "--k", "3",
                   "--k-prime", "3", "--n", "10", "--t", "40"]
@@ -112,22 +122,46 @@ def test_sweep_output_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == out
 
 
-def test_sweep_var_r_defaults_to_fixed_total_length(capsys):
-    args = ["sweep", "--var", "r", "--range", "0:1", "--trials", "5",
-            *SMALL_GEOMETRY]
-    code, out, _ = run_cli(capsys, *args)
-    assert code == 0
-    assert out.splitlines()[1].startswith("r_fixed_m,0,")
-
-    code, out, _ = run_cli(capsys, *args, "--mode", "fixed_p")
-    assert code == 0
-    assert out.splitlines()[1].startswith("r_fixed_p,0,")
+def test_sweep_var_names_which_length_stays_fixed(capsys):
+    for swept in ("r_fixed_m", "r_fixed_p"):
+        code, out, _ = run_cli(capsys, "sweep", "--var", swept, "--range", "0:1",
+                               "--trials", "5", *SMALL_GEOMETRY)
+        assert code == 0
+        assert out.splitlines()[1].startswith(f"{swept},0,")
 
 
-def test_sweep_mode_requires_var_r(capsys):
+def test_sweep_takes_only_the_swept_names(capsys):
+    # no r alias and no --mode: "mode" means only the hash mode
+    code, _, err = run_cli(capsys, "sweep", "--var", "r", "--range", "0:1",
+                           "--trials", "5")
+    assert code == 1
+    assert "invalid choice: 'r'" in err
     code, _, err = run_cli(capsys, *_sweep_args("--mode", "fixed_p"))
     assert code == 1
     assert "--mode" in err
+
+
+def test_sweep_var_choices_are_the_swept_names():
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    var = next(a for a in subcommands.choices["sweep"]._actions if a.dest == "var")
+    assert tuple(var.choices) == SWEPT_CHOICES
+
+
+def test_sweep_and_topology_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["sweep", "--var", "k", "--range", "0:1"])
+    config = SweepConfig("k", 0, 1)
+    for field in dataclasses.fields(SweepConfig):
+        if field.name not in ("swept", "start", "stop", "step", "mode"):
+            assert getattr(args, field.name) == getattr(config, field.name), field
+    assert _HASH_MODES[args.hash_mode] == config.mode
+
+    args = build_parser().parse_args(["topology", "net.graphml"])
+    assert YesNoParams(args.p, args.q, args.r, args.k, args.k_prime) == DEFAULT_PARAMS
+    assert args.k_bf == DEFAULT_K_BF
+    assert args.allocations == DEFAULT_ALLOCATIONS
+    run = inspect.signature(run_topology_experiment).parameters
+    assert args.seed == run["seed"].default
 
 
 @pytest.mark.parametrize("bad_range", ["7", "1:2:3:4", "a:b", "4:2"])
@@ -140,7 +174,7 @@ def test_sweep_rejects_malformed_ranges(capsys, bad_range):
 
 def test_sweep_reports_impossible_points_in_csv(capsys):
     # at fixed m=56, q=8: r=6 leaves p=q and r=7 leaves p=0
-    args = ["sweep", "--var", "r", "--range", "5:7", "--trials", "5",
+    args = ["sweep", "--var", "r_fixed_m", "--range", "5:7", "--trials", "5",
             *SMALL_GEOMETRY]
     code, out, err = run_cli(capsys, *args)
     assert code == 0
@@ -242,6 +276,15 @@ def test_topology_fails_when_nothing_loads(capsys, tmp_path):
     code, out, err = run_cli(capsys, *_topology_args(broken))
     assert code == 2
     assert "no topology produced a result" in err
+
+
+def test_readme_sweep_example_prints_its_csv(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n$ yesnobf sweep ", 1)[1].split("\n```", 1)[0]
+    command, want = block.split("\n", 1)
+    code, out, err = run_cli(capsys, "sweep", *shlex.split(command))
+    assert code == 0 and err == ""
+    assert out == want + "\n"
 
 
 def test_demo_tells_the_whole_story(capsys):

@@ -257,6 +257,27 @@ def test_config_range_is_inclusive():
     assert config.m == 160 + 32 * 3
 
 
+@pytest.mark.parametrize("guard", [True, False])
+@pytest.mark.parametrize("swept, params, n", [
+    ("k", (40, 8, 2, 4, 2), 10),
+    ("k_prime", (40, 8, 2, 3, 4), 10),
+    ("n", (40, 8, 2, 3, 2), 4),
+    ("q", (40, 4, 2, 3, 2), 10),
+    ("r_fixed_p", (40, 8, 4, 3, 2), 10),
+    ("r_fixed_m", (24, 8, 4, 3, 2), 10),  # m = 40 + 8*2 stays 56
+])
+def test_point_geometry_sets_the_swept_field(swept, params, n, guard):
+    config = SweepConfig(swept, 4, 4, p=40, q=8, r=2, k=3, k_prime=2, n=10,
+                         allow_false_negatives=not guard)
+    want = YesNoParams(*params, allow_false_negatives=not guard)
+    assert simulate._point_geometry(config, 4) == (want, n)
+
+
+def test_sweep_names_a_negative_n_in_its_error_cell():
+    result = sweep(_small_sweep(swept="n", start=-1, stop=0, trials=2))
+    assert [pt.error for pt in result.points] == ["n must be >= 0, got -1", None]
+
+
 def _small_sweep(**overrides) -> SweepConfig:
     base = dict(swept="k", start=2, stop=4, p=40, q=8, r=2, k=3, k_prime=3,
                 n=10, t=40, trials=30, seed=5)
