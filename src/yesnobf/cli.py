@@ -48,6 +48,16 @@ def _add_geometry_flags(parser, base):
                         help="no-filter hash count")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[int, int, int]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
@@ -166,15 +176,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="closed-form probabilities")
-    p_an.add_argument("--m", type=int, default=256, help="filter bits")
-    p_an.add_argument("--k", type=int, default=6, help="hash count")
+    p_an.add_argument("--m", type=_positive_int, default=256, help="filter bits")
+    p_an.add_argument("--k", type=_positive_int, default=6, help="hash count")
     p_an.add_argument("--n", type=int, default=30, help="stored elements")
     p_an.add_argument("--t", type=int, default=100, help="queried non-members")
-    p_an.add_argument("--p", type=int, default=160,
+    p_an.add_argument("--p", type=_positive_int, default=160,
                       help="yes-filter bits for the two-stage rows")
-    p_an.add_argument("--q", type=int, default=32, help="bits per no-filter")
+    p_an.add_argument("--q", type=_positive_int, default=32, help="bits per no-filter")
     p_an.add_argument("--r", type=int, default=3, help="number of no-filters")
-    p_an.add_argument("--k-prime", type=int, default=5,
+    p_an.add_argument("--k-prime", type=_positive_int, default=5,
                       help="no-filter hash count")
     p_an.add_argument("--pr-s", type=float, default=0.0, help="membership prior")
     p_an.add_argument("--pr-r", type=float, default=0.0,
@@ -228,10 +238,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _attach_range_value(argv: list[str]) -> list[str]:
+    """argparse takes a value such as -1:12:4 for an option, so a --range
+    followed by one is passed on as --range=-1:12:4."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--range" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--range={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_range_value(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

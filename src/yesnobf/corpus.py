@@ -40,6 +40,39 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(nodes, edges)
 
 
+# Cells are wider than the radius by this relative margin, and there are at
+# most _MAX_CELLS to a side, so float rounding can never place two points
+# the distance test accepts more than one cell apart.
+_CELL_MARGIN = 1e-6
+_MAX_CELLS = 1 << 20
+
+
+def _pairs_within(points, radius: float) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of points in [0, 1)^2 whose squared
+    distance is at most radius squared.
+
+    Points go into square cells at least a radius wide, so only pairs in
+    the same or adjacent cells are tested; each with the same float test.
+    """
+    cells = max(1, min(_MAX_CELLS, int(1 / (radius * (1 + _CELL_MARGIN)))))
+    keys = [(int(x * cells), int(y * cells)) for x, y in points]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    limit = radius * radius
+    pairs = []
+    for i, (cx, cy) in enumerate(keys):
+        xi, yi = points[i]
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for j in buckets.get((gx, gy), ()):
+                    if j > i:
+                        xj, yj = points[j]
+                        if (xi - xj) ** 2 + (yi - yj) ** 2 <= limit:
+                            pairs.append((i, j))
+    return pairs
+
+
 def random_geometric_graph(count: int, radius: float, seed: int) -> Graph:
     """Uniform points in the unit square, edges within `radius`.
 
@@ -48,21 +81,13 @@ def random_geometric_graph(count: int, radius: float, seed: int) -> Graph:
     """
     if count < 2:
         raise ValueError(f"need at least 2 points, got {count}")
-    if radius <= 0:
+    if not radius > 0:  # NaN too
         raise ValueError(f"radius must be positive, got {radius}")
     rng = random.Random(seed)
     points = [(rng.random(), rng.random()) for _ in range(count)]
     width = len(str(count - 1))
     names = [f"p{i:0{width}d}" for i in range(count)]
-    limit = radius * radius
-    edges = []
-    for i in range(count):
-        xi, yi = points[i]
-        for j in range(i + 1, count):
-            xj, yj = points[j]
-            if (xi - xj) ** 2 + (yi - yj) ** 2 <= limit:
-                edges.append((names[i], names[j]))
-    return Graph(names, edges)
+    return Graph(names, [(names[i], names[j]) for i, j in _pairs_within(points, radius)])
 
 
 def default_corpus() -> list[tuple[str, Graph]]:

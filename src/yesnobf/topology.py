@@ -181,7 +181,14 @@ def select_long_path(graph: Graph) -> list[str]:
 
     Every tie (component choice, endpoint pair, path itself) breaks toward
     the lexicographically smallest node ids, so the answer is a pure
-    function of the graph.
+    function of the graph: the start is the smallest node whose
+    eccentricity is the diameter D, the goal the smallest node D hops from
+    it, and each step goes to the smallest neighbor one hop nearer the goal.
+
+    Eccentricities come from a bit-parallel BFS: every component node holds
+    an int bitset of the nodes within d hops, and one level ORs each
+    unfinished node's set with its neighbors' sets. That is D passes over
+    the edges instead of one BFS per node, in V * V / 8 bytes of sets.
     """
     if not len(graph):
         raise ValueError("graph has no nodes")
@@ -194,16 +201,28 @@ def select_long_path(graph: Graph) -> list[str]:
         seen.update(comp)
         if len(comp) > len(component):
             component = comp
-    best_d = -1
-    best_pair: tuple[str, str] | None = None
-    for u in component:
-        dists = _bfs_dists(graph, u)
-        for v in component:
-            d = dists[v]
-            if d > best_d:
-                best_d = d
-                best_pair = (u, v)
-    start, goal = best_pair
+    index = {v: i for i, v in enumerate(component)}
+    adjacency = [[index[w] for w in graph.neighbors(v)] for v in component]
+    full = (1 << len(component)) - 1
+    within = [1 << i for i in range(len(component))]
+    unfinished = [i for i in range(len(component)) if within[i] != full]
+    last = [0]  # the nodes that finish at the final level, in sorted order
+    diameter = 0
+    while unfinished:
+        diameter += 1
+        grown = []
+        for i in unfinished:
+            bits = within[i]
+            for j in adjacency[i]:
+                bits |= within[j]
+            grown.append(bits)
+        for i, bits in zip(unfinished, grown):
+            within[i] = bits
+        last = unfinished
+        unfinished = [i for i in unfinished if within[i] != full]
+    start = component[last[0]]
+    dists = _bfs_dists(graph, start)
+    goal = min(v for v, d in dists.items() if d == diameter)
     dist_to_goal = _bfs_dists(graph, goal)
     path = [start]
     while path[-1] != goal:

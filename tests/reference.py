@@ -1,12 +1,15 @@
 """The yes-no Bloom filter written plainly from its definition: the tests'
-one oracle, which pytest does not collect.
+one oracle, which pytest does not collect. The topology's path choice and
+the corpus's geometric graphs are here too, as all-pairs loops.
 
 It reads no yesnobf hashing or filter code. Positions follow the README's
 "Hash stream" section, by this module's own encoding and blake2b calls.
 Results are the library's value types, so tests compare them with ==.
 """
 
+import random
 import struct
+from collections import deque
 from hashlib import blake2b
 
 from hypothesis import strategies as st
@@ -141,3 +144,64 @@ def trial(params, members, candidates, seed, mode=MODE_RANDOM):
     yes_mask, no_masks, report = first_fit(
         params, [s for _, s in member_pairs], [s for _, s in candidate_pairs])
     return report, classify(yes_mask, no_masks, member_pairs, candidate_pairs)
+
+
+def bfs_dists(graph, source) -> dict[str, int]:
+    dists = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in graph.neighbors(u):
+            if v not in dists:
+                dists[v] = dists[u] + 1
+                queue.append(v)
+    return dists
+
+
+def long_path(graph) -> list[str]:
+    """select_long_path by its definition: in the first largest component
+    (components met in sorted node order), the first pair (u, v) in sorted
+    order at the diameter, from one BFS per node; then from u, each step
+    to the smallest neighbor one hop nearer v."""
+    component: list[str] = []
+    for node in graph.nodes:
+        comp = sorted(bfs_dists(graph, node))
+        if len(comp) > len(component):
+            component = comp
+    best_d, start, goal = -1, None, None
+    for u in component:
+        dists = bfs_dists(graph, u)
+        for v in component:
+            if dists[v] > best_d:
+                best_d, start, goal = dists[v], u, v
+    dist_to_goal = bfs_dists(graph, goal)
+    path = [start]
+    while path[-1] != goal:
+        path.append(min(v for v in graph.neighbors(path[-1])
+                        if dist_to_goal.get(v) == dist_to_goal[path[-1]] - 1))
+    return path
+
+
+def pairs_within(points, radius) -> list[tuple[int, int]]:
+    """Every index pair (i, j), i < j, tested: squared distance at most
+    radius squared."""
+    limit = radius * radius
+    pairs = []
+    for i in range(len(points)):
+        xi, yi = points[i]
+        for j in range(i + 1, len(points)):
+            xj, yj = points[j]
+            if (xi - xj) ** 2 + (yi - yj) ** 2 <= limit:
+                pairs.append((i, j))
+    return pairs
+
+
+def geometric_graph(count, radius, seed) -> tuple[tuple, tuple]:
+    """(nodes, edges) of random_geometric_graph: count uniform points from
+    random.Random(seed), named p0.. zero-padded, joined by pairs_within."""
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(count)]
+    width = len(str(count - 1))
+    names = [f"p{i:0{width}d}" for i in range(count)]
+    return tuple(names), tuple((names[i], names[j])
+                               for i, j in pairs_within(points, radius))

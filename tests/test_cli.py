@@ -89,6 +89,15 @@ def test_analyze_rejects_bad_shape(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag", ["--m", "--k", "--q", "--k-prime", "--p"])
+def test_analyze_names_the_zero_flag(capsys, flag):
+    code, out, err = run_cli(capsys, "analyze", flag, "0")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"yesnobf analyze: error: argument {flag}: must be positive, got 0")
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys)[0] == 1
     assert run_cli(capsys, "frobnicate")[0] == 1
@@ -170,6 +179,14 @@ def test_sweep_rejects_malformed_ranges(capsys, bad_range):
                            "--range", bad_range, "--trials", "5")
     assert code == 1
     assert "error" in err
+
+
+def test_sweep_range_may_start_negative_without_equals(capsys):
+    spaced = run_cli(capsys, "sweep", "--var", "n", "--range", "-1:12:4", "--trials", "5")
+    joined = run_cli(capsys, "sweep", "--var", "n", "--range=-1:12:4", "--trials", "5")
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert "n must be >= 0, got -1" in spaced[1]
 
 
 def test_sweep_reports_impossible_points_in_csv(capsys):

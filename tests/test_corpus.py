@@ -1,6 +1,11 @@
 """Bundled synthetic graph corpus."""
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from yesnobf.corpus import (
+    _pairs_within,
     default_corpus,
     grid_graph,
     random_geometric_graph,
@@ -8,6 +13,8 @@ from yesnobf.corpus import (
     write_corpus,
 )
 from yesnobf.topology import derive_link_sets, load_graph, select_long_path
+
+import reference
 
 
 def test_ring_shape():
@@ -30,6 +37,47 @@ def test_random_geometric_graph_is_deterministic():
     assert g1.nodes == g2.nodes and g1.edges == g2.edges
     g3 = random_geometric_graph(60, 0.2, seed=6)
     assert g3.edges != g1.edges
+
+
+radii = st.one_of(st.floats(1e-12, 1e-3), st.floats(0.01, 0.6), st.floats(1.0, 3.0),
+                  st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1, 1 / 3, 1 / 7]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(2, 80), radius=radii, seed=st.integers(0, 2**32))
+@example(count=40, radius=1.0, seed=0)  # one cell
+@example(count=40, radius=1e-9, seed=0)  # no edges
+def test_random_geometric_graph_matches_all_pairs(count, radius, seed):
+    graph = random_geometric_graph(count, radius, seed)
+    assert (graph.nodes, graph.edges) == reference.geometric_graph(count, radius, seed)
+
+
+@st.composite
+def aligned_points(draw):
+    """A radius, and points in [0, 1)^2 on fractions a/d, which are cell
+    edges for d cells, on multiples of the radius, which puts points
+    exactly one radius apart, or anywhere."""
+    radius = draw(st.sampled_from([1.0, 2.0, 0.5, 0.25, 0.2, 0.125, 0.1, 1 / 3, 1 / 7]))
+    coordinate = st.one_of(
+        st.floats(0, 1, exclude_max=True),
+        st.integers(1, 9).flatmap(lambda d: st.integers(0, d - 1).map(lambda a: a / d)),
+        st.integers(0, int(1 / radius)).map(lambda a: a * radius).filter(lambda x: x < 1))
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=40))
+    return points, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=aligned_points())
+@example(case=([(0.25, 0.5), (0.5, 0.5), (0.75, 0.5), (0.5, 0.75)], 0.25))  # radius apart
+def test_pairs_within_matches_all_pairs_on_cell_edges(case):
+    points, radius = case
+    assert sorted(_pairs_within(points, radius)) == reference.pairs_within(points, radius)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
+def test_random_geometric_graph_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        random_geometric_graph(10, radius, seed=0)
 
 
 def test_corpus_paths_span_the_target_lengths():

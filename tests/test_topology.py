@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yesnobf import bitcore, topology, yesno
@@ -128,6 +128,38 @@ def test_select_long_path_breaks_ties_deterministically():
 def test_select_long_path_uses_largest_component():
     g = Graph(edges=[("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("z1", "z2")])
     assert select_long_path(g) == ["a1", "a2", "a3", "a4"]
+
+
+@st.composite
+def small_graphs(draw):
+    """Sparse graphs, so components and isolated nodes are common. Names
+    are inserted unsorted, and "10" sorts before "9". A renamed twin adds
+    an equal component of equal diameter, sorting before or after it."""
+    names = draw(st.lists(st.text("ab019", min_size=1, max_size=3),
+                          min_size=1, max_size=14, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          max_size=2 * len(names)))
+    edges = [(a, b) for a, b in pairs if a != b]
+    prefix = draw(st.sampled_from(["", "0", "z"]))
+    if prefix:
+        names += [prefix + v for v in names]
+        edges += [(prefix + a, prefix + b) for a, b in edges]
+    return Graph(draw(st.permutations(names)), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=small_graphs())
+@example(graph=Graph(nodes=["solo"]))
+@example(graph=Graph(nodes=["z", "q"]))  # isolated nodes only: the first wins
+@example(graph=Graph(edges=[(f"v{i}", f"v{(i + 1) % 6}") for i in range(6)]))  # all ecc. 3
+@example(graph=Graph(edges=[("b9", "b10"), ("a2", "a1")]))  # equal components
+def test_select_long_path_matches_the_all_pairs_definition(graph):
+    assert select_long_path(graph) == reference.long_path(graph)
+
+
+def test_corpus_paths_match_the_definition():
+    for name, graph in default_corpus():
+        assert select_long_path(graph) == reference.long_path(graph), name
 
 
 def test_link_sets_on_a_triangle():
