@@ -204,9 +204,9 @@ def build_parser() -> _Parser:
     _add_geometry_flags(p_sw, base)
     p_sw.add_argument("--n", type=int, default=base.n)
     p_sw.add_argument("--t", type=int, default=base.t)
-    p_sw.add_argument("--k-bf", type=int, default=base.k_bf,
+    p_sw.add_argument("--k-bf", type=_positive_int, default=base.k_bf,
                       help="hash count of the analytic m-length baseline "
-                           "(ignored when sweeping k or n, which set it per point)")
+                           "(sweeping k or n sets it per point)")
     p_sw.add_argument("--hash-mode", choices=sorted(_HASH_MODES), default="random")
     p_sw.add_argument("--allow-false-negatives", action="store_true")
     p_sw.add_argument("--output", default=None, metavar="FILE")
@@ -216,14 +216,15 @@ def build_parser() -> _Parser:
     p_tp.add_argument("files", nargs="+", help="graph files (.graphml or edge list)")
     p_tp.add_argument("--format", choices=["auto", "graphml", "edgelist"],
                       default="auto")
-    p_tp.add_argument("--allocations", type=int, default=topology.DEFAULT_ALLOCATIONS)
+    p_tp.add_argument("--allocations", type=_positive_int,
+                      default=topology.DEFAULT_ALLOCATIONS)
     p_tp.add_argument("--seed", type=int, default=0)
     p_tp.add_argument("--path", default=None, metavar="A,B,C",
                       help="use this node path instead of the selected one")
     p_tp.add_argument("--exclude-reverse", action="store_true",
                       help="drop reverse-path links from the queryable set")
     _add_geometry_flags(p_tp, topology.DEFAULT_PARAMS)
-    p_tp.add_argument("--k-bf", type=int, default=topology.DEFAULT_K_BF,
+    p_tp.add_argument("--k-bf", type=_positive_int, default=topology.DEFAULT_K_BF,
                       help="hash count of the classic-BF comparison structure")
     p_tp.add_argument("--output", default=None, metavar="FILE",
                       help="per-topology CSV (default stdout)")

@@ -8,7 +8,9 @@ baselines: one of the same total length m, one the size of the yes-filter
 alone.
 
 Trials are independent; trial i of point j draws its PRNG stream from
-(seed, j, i), so results do not depend on scheduling.
+(seed, j, i), so results do not depend on scheduling. numpy is imported
+only when a trial or a sweep runs, so building and querying filters, and
+topology experiments, never load it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .yesno import (
     YesNoParams,
 )
 
+# The names a sweep can vary: SweepConfig.swept and `sweep --var` take
+# exactly these, and the CSV's swept column prints them.
 SWEPT_CHOICES = ("k", "k_prime", "n", "q", "r_fixed_p", "r_fixed_m")
 
 CSV_HEADER = ("swept", "value", "mean_fp", "std_fp", "min", "q25", "median",
@@ -190,6 +194,9 @@ class SweepConfig:
     except in the k sweep, where that baseline follows the swept k, and the
     n sweep, where it is retuned to the optimum round(m/n * ln 2) so the
     comparison at each load is against the BF someone would deploy there.
+    Raises ValueError on an unknown swept name or mode, an empty range, a
+    step, trial count or k_bf below 1 (whatever is swept), or a negative n
+    or t.
     """
 
     swept: str
@@ -218,6 +225,8 @@ class SweepConfig:
             raise ValueError(f"empty range {self.start}..{self.stop}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.k_bf < 1:
+            raise ValueError(f"k_bf must be >= 1, got {self.k_bf}")
         if self.t < 0 or self.n < 0:
             raise ValueError("n and t must be >= 0")
         if self.mode not in _MODES:

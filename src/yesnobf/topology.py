@@ -8,7 +8,7 @@ leaking onto a link it was never meant for; the yes-no filter exists to make
 that rare exactly on the links where it matters.
 
 Graphs are undirected on disk (edge-list or GraphML); links are directed,
-one per traversal direction.
+one per traversal direction. Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -279,7 +279,12 @@ def derive_link_sets(graph: Graph, path, include_reverse: bool = True
 @dataclass(frozen=True)
 class PathExperiment:
     """One topology's experiment: fixed link sets, repeated random
-    hash allocations."""
+    hash allocations.
+
+    Raises ValueError when allocations or k_bf is below 1, or when the
+    link ids repeat or S and T share one. Two distinct links can share an
+    id: "x"->"y->z" and "x->y"->"z" are both x->y->z.
+    """
 
     name: str
     s_links: tuple[DirectedLink, ...]
@@ -330,8 +335,8 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     """Average both structures' false positives over fresh random
     allocations; each allocation's stream comes from (seed, name, index),
     and its counts are those of YesNoFilter.build, then classify, and of
-    a BloomFilter(m, k_bf) holding S, asked about T. The ids are encoded
-    once per call."""
+    a BloomFilter(m, k_bf) under the same seed and mode holding S, asked
+    about T. The ids are encoded once per call."""
     params = experiment.params
     s_ids = [link.id for link in experiment.s_links]
     t_ids = [link.id for link in experiment.t_links]

@@ -89,6 +89,7 @@ class Sketcher:
         self.no_family = HashFamily(params.k_prime, params.q, mode=mode, seed=seed)
 
     def sketch(self, element) -> ElementSketch:
+        """The element's full sketch: both parts hashed."""
         datas = (element_to_bytes(element),)
         return (self.yes_family.encoded_masks(datas)[0],
                 self.no_family.encoded_masks(datas)[0])
@@ -195,7 +196,10 @@ class YesNoFilter:
     """Built two-stage filter; treat as immutable once constructed.
 
     yes_filter is the p-bit yes filter and no_filters the r q-bit no
-    filters, each an int mask with bit i for position i.
+    filters, each an int mask with bit i for position i. The constructor
+    raises ValueError on a mask that is negative or wider than p or q, a
+    no-filter count other than r, or an unknown hash mode, so
+    build_from_sketches and from_bitstring refuse one too.
     """
 
     __slots__ = ("params", "seed", "mode", "yes_filter", "no_filters", "_sketcher")
@@ -237,13 +241,14 @@ class YesNoFilter:
 
     @classmethod
     def build_from_sketches(cls, params: YesNoParams, member_sketches,
-                            candidate_sketches, *, seed: int = 0,
+                            candidate_sketches, *, seed: int,
                             mode: str = MODE_RANDOM
                             ) -> tuple[YesNoFilter, ConstructionReport]:
         """Construction core for callers that already hold the sketches.
 
         The sketches must come from a Sketcher with the same params, seed
         and mode, or later queries will not see the bits laid down here.
+        A sketch does not record its seed, so seed is a required keyword.
         A no part may be None where nothing reads it: on a candidate the
         yes stage rejects, and on any element when r is 0. A member part,
         or the no part of a yes-stage false positive, wider than its filter
@@ -360,6 +365,9 @@ class YesNoFilter:
         return _POSITIVE
 
     def query(self, element) -> QueryResult:
+        """The element's two-stage answer. The no family hashes it only
+        after the yes stage passes, so a yes-stage negative hashes one
+        family, as a classic Bloom filter query does."""
         sk = self._sketcher
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
@@ -429,7 +437,8 @@ class YesNoFilter:
                        mode: str) -> YesNoFilter:
         """The filter of a to_bitstring text. The bits do not record the
         seed and hash mode they were built with, so the caller names both;
-        under any others, members may answer no."""
+        under any others, members may answer no. Raises ValueError unless
+        text holds exactly params.m characters, each '0' or '1'."""
         if len(text) != params.m:
             raise ValueError(f"expected {params.m} bits, got {len(text)}")
         # checked here, since int(text, 2) also accepts "_" and spaces

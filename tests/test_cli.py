@@ -295,6 +295,26 @@ def test_topology_fails_when_nothing_loads(capsys, tmp_path):
     assert "no topology produced a result" in err
 
 
+@pytest.mark.parametrize("flag", ["--k-bf", "--allocations"])
+def test_topology_names_a_non_positive_flag_before_reading_files(capsys, tmp_path,
+                                                                 flag):
+    files = _write_toy_graphs(tmp_path)
+    code, out, err = run_cli(capsys, *_topology_args(*files), flag, "0")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"yesnobf topology: error: argument {flag}: must be positive, got 0")
+    assert not any(line.startswith("error:") for line in err.splitlines())
+
+
+def test_sweep_names_a_non_positive_k_bf(capsys):
+    code, out, err = run_cli(capsys, *_sweep_args("--k-bf", "0"))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "yesnobf sweep: error: argument --k-bf: must be positive, got 0")
+
+
 def test_readme_sweep_example_prints_its_csv(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n$ yesnobf sweep ", 1)[1].split("\n```", 1)[0]

@@ -249,6 +249,10 @@ def test_config_validation():
         SweepConfig(**{**good, "trials": 0})
     with pytest.raises(ValueError, match="unknown mode"):
         SweepConfig(**{**good, "mode": "x"})
+    # also where the k and n sweeps set the baseline's hash count per point
+    for swept in simulate.SWEPT_CHOICES:
+        with pytest.raises(ValueError, match="k_bf must be >= 1, got 0"):
+            SweepConfig(swept, 1, 2, k_bf=0)
 
 
 def test_config_range_is_inclusive():

@@ -101,7 +101,7 @@ class TestHandWalkedConstruction:
             _sk((4, 5), (0, 1)),  # fails the yes stage, not an FP
             _sk((1, 2), (0, 2)),  # fits filter 0 without new bits
         ]
-        return YesNoFilter.build_from_sketches(self.PARAMS, members, candidates)
+        return YesNoFilter.build_from_sketches(self.PARAMS, members, candidates, seed=0)
 
     def test_report(self):
         _, report = self._build()
@@ -165,7 +165,7 @@ def test_build_rejects_sketches_wider_than_their_filter(members, candidates):
     for r in (1, 0):
         params = YesNoParams.of(p=8, q=4, r=r, k=1, k_prime=2)
         with pytest.raises(ValueError, match="wider"):
-            YesNoFilter.build_from_sketches(params, members, candidates)
+            YesNoFilter.build_from_sketches(params, members, candidates, seed=0)
 
 
 @pytest.mark.parametrize("members, candidates", [
@@ -175,7 +175,7 @@ def test_build_rejects_sketches_wider_than_their_filter(members, candidates):
 def test_build_rejects_a_missing_no_part_it_would_read(members, candidates):
     params = YesNoParams.of(p=8, q=4, r=1, k=1, k_prime=2)
     with pytest.raises(ValueError, match="lacks its no part"):
-        YesNoFilter.build_from_sketches(params, members, candidates)
+        YesNoFilter.build_from_sketches(params, members, candidates, seed=0)
 
 
 @pytest.mark.parametrize("guard", [True, False])
@@ -186,10 +186,10 @@ def test_build_rejects_an_empty_member_no_part(guard):
     members = [(0b11, 0), (0b1100, 0b11)]
     candidates = [(0b11, 0b110000)]
     with pytest.raises(ValueError, match="member no part is empty"):
-        YesNoFilter.build_from_sketches(params, members, candidates)
+        YesNoFilter.build_from_sketches(params, members, candidates, seed=0)
     # with no no-filters nothing reads it
     params = YesNoParams.of(p=16, q=8, r=0, k=2, k_prime=0)
-    filt, _ = YesNoFilter.build_from_sketches(params, members, candidates)
+    filt, _ = YesNoFilter.build_from_sketches(params, members, candidates, seed=0)
     assert filt.query_sketch(members[0]) is QueryResult.POSITIVE
 
 
@@ -199,13 +199,26 @@ def test_build_takes_a_missing_no_part_nothing_reads(r):
     members = [(0b11, None if r == 0 else 0b1)]
     # the second candidate passes the yes stage, so r=1 must give it a no part
     candidates = [(0b100, None), (0b10, None if r == 0 else 0b10)]
-    filt, report = YesNoFilter.build_from_sketches(params, members, candidates)
+    filt, report = YesNoFilter.build_from_sketches(params, members, candidates, seed=0)
     assert (report.f_count, report.r_count) == (1, r)
     got = filt.classify_sketches(list(zip("m", members)), list(zip("ab", candidates)))
     assert got.true_positives == ["m"]
     assert got.yes_stage_negatives == ["a"]
     assert (got.no_stage_rejections, got.residual_false_positives) == \
            ((["b"], []) if r else ([], ["b"]))
+
+
+def test_build_from_sketches_needs_the_seed_by_keyword():
+    # a sketch does not hold its seed: a seed-0 default would build a filter
+    # whose contains() misses members sketched under any other seed
+    params = YesNoParams.of(p=8, q=4, r=1, k=1, k_prime=2)
+    members, candidates = [(0b11, 0b1)], [(0b10, 0b10)]
+    with pytest.raises(TypeError):
+        YesNoFilter.build_from_sketches(params, members, candidates)
+    with pytest.raises(TypeError):
+        YesNoFilter.build_from_sketches(params, members, candidates, mode=MODE_RANDOM)
+    with pytest.raises(TypeError):
+        YesNoFilter.build_from_sketches(params, members, candidates, 7)
 
 
 def test_members_always_positive_with_guard():
