@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from hashlib import blake2b
+from operator import itemgetter
 
 MASK64 = (1 << 64) - 1
 
@@ -77,11 +78,13 @@ def _shape(count: int, range_size: int, mode: str) -> tuple:
     turns its stream into count chunks, chunk i giving position
     chunk % range_size. A random-mode walk takes exactly the first count
     chunks of blocks 0 .. ceil(count/8)-1, so its blocks and their
-    unpacker are fixed by the shape. A double-hashing walk takes one
-    unsuffixed digest, read as h1 and h2, and its chunks are the
-    progression h1 % range + i * stride. A family of count 0 has no
-    blocks and reads no chunks, in either mode. None of it depends on the
-    seed, so families rebuilt per seed share it.
+    unpacker are fixed by the shape. Where range_size divides 256, a
+    little-endian chunk mod range_size is its low byte mod range_size, so
+    the reader gives each chunk's first byte instead of unpacking 64 bits.
+    A double-hashing walk takes one unsuffixed digest, read as h1 and h2,
+    and its chunks are the progression h1 % range + i * stride. A family
+    of count 0 has no blocks and reads no chunks, in either mode. None of
+    it depends on the seed, so families rebuilt per seed share it.
     """
     bits = _BITS if range_size <= _TABLE_SIZE else _ShiftedBits()
     if mode == MODE_DOUBLE and count:
@@ -93,7 +96,11 @@ def _shape(count: int, range_size: int, mode: str) -> tuple:
             return range(start, start + count * stride, stride)
         return (b"",), 16, read, bits
     suffixes = tuple(block.to_bytes(4, "little") for block in range(-(-count // 8)))
-    return suffixes, 64, struct.Struct(f"<{count}Q").unpack_from, bits
+    if 256 % range_size:
+        read = struct.Struct(f"<{count}Q").unpack_from
+    else:
+        read = itemgetter(slice(0, 8 * count, 8))
+    return suffixes, 64, read, bits
 
 
 class HashFamily:
@@ -124,16 +131,39 @@ class HashFamily:
         self._key = struct.pack("<QQQB", self.seed, count, range_size, flags)
         self._suffixes, digest_size, self._read, self._bits = _shape(
             count, range_size, mode)
-        # keyed once; each digest copies it, skipping the key block's compression
+        # keyed once; each digest copies it rather than deriving the key and
+        # parameter block again. The copy still holds the key block, which
+        # blake2b buffers until data arrives, so every digest compresses it.
         self._hasher = blake2b(key=self._key, digest_size=digest_size)
 
     def element_mask(self, element) -> int:
         """The element's bits as an int, the form the filters compare against."""
-        return self.encoded_masks((element_to_bytes(element),))[0]
+        return self.encoded_mask(element_to_bytes(element))
+
+    def encoded_mask(self, data: bytes) -> int:
+        """element_mask of one element already encoded by element_to_bytes.
+
+        The one-element walk: it reads the keyed hasher as digests does
+        and reduces the stream as encoded_masks does, with no list around
+        the one element.
+        """
+        hasher = self._hasher
+        stream = b""
+        for suffix in self._suffixes:
+            h = hasher.copy()
+            h.update(data + suffix)
+            stream += h.digest()
+        size = self.range_size
+        bits = self._bits
+        mask = 0
+        for c in self._read(stream):
+            mask |= bits[c % size]
+        return mask
 
     def digests(self, datas) -> list[bytes]:
         """Each element's hash stream, for elements already encoded by
-        element_to_bytes: the only walk of the keyed hasher.
+        element_to_bytes: the list walk of the keyed hasher, and with
+        encoded_mask its only reader.
 
         Random mode gives blocks 0 .. ceil(count/8)-1 of 64 bytes, the
         digests of the encoding + the u32 block number, end to end; chunk i
@@ -235,7 +265,8 @@ class BloomFilter:
         self.inserted_count += 1
 
     def contains(self, element) -> bool:
-        return self.family.count_within((element_to_bytes(element),), self.mask) == 1
+        element_mask = self.family.element_mask(element)
+        return element_mask & self.mask == element_mask
 
     def __eq__(self, other) -> bool:
         """Same family and same bits; insert bookkeeping is metadata."""

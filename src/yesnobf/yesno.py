@@ -90,9 +90,9 @@ class Sketcher:
 
     def sketch(self, element) -> ElementSketch:
         """The element's full sketch: both parts hashed."""
-        datas = (element_to_bytes(element),)
-        return (self.yes_family.encoded_masks(datas)[0],
-                self.no_family.encoded_masks(datas)[0])
+        data = element_to_bytes(element)
+        return (self.yes_family.encoded_mask(data),
+                self.no_family.encoded_mask(data))
 
     def _sketch_sets(self, member_datas, candidate_datas, yes_mask=None
                      ) -> tuple[list[ElementSketch], list[ElementSketch]]:
@@ -371,10 +371,10 @@ class YesNoFilter:
         sk = self._sketcher
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
-        datas = (element_to_bytes(element),)
-        y = sk.yes_family.encoded_masks(datas)[0]
+        data = element_to_bytes(element)
+        y = sk.yes_family.encoded_mask(data)
         if y & self.yes_filter == y and self.no_filters:
-            return self.query_sketch((y, sk.no_family.encoded_masks(datas)[0]))
+            return self.query_sketch((y, sk.no_family.encoded_mask(data)))
         return self.query_sketch((y, None))
 
     def contains(self, element) -> bool:

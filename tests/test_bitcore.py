@@ -13,6 +13,7 @@ from yesnobf.bitcore import (
     MODE_RANDOM,
     BloomFilter,
     HashFamily,
+    _shape,
     derive_seed,
     element_to_bytes,
 )
@@ -162,7 +163,35 @@ def test_small_filter_fp_rate_matches_rational_oracle():
     assert abs(observed - float(fp_prob)) <= 3 * se
 
 
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
+def test_shape_reads_low_bytes_exactly_where_the_range_divides_256(mode):
+    # three blocks of bytes that differ from chunk to chunk
+    stream = bytes(i * 37 % 251 for i in range(3 * 64))
+    # a double-hashing family of count 0 reads nothing, as a random one does
+    for count in (0, 1, 4, 9, 20) if mode == MODE_RANDOM else (1, 4, 20):
+        for size in range(1, 520):
+            read = _shape(count, size, mode)[2]
+            byte_reader = mode == MODE_RANDOM and 256 % size == 0
+            assert (read(stream) == stream[:8 * count:8]) == byte_reader
+
+
 # --- properties ----------------------------------------------------------
+
+# Random-mode ranges that divide 256 read each chunk's low byte; 255, 257 and
+# 512 unpack whole chunks. Count 9 takes the first chunk of a second block.
+RANGE_EXAMPLES = [(count, size) for size in (1, 2, 32, 256, 255, 257, 512)
+                  for count in (4, 9, 20)]
+
+
+def range_examples(**fixed):
+    """An @example of every RANGE_EXAMPLES shape in random mode, with the
+    other arguments fixed."""
+    def add(test):
+        for count, size in RANGE_EXAMPLES:
+            test = example(count=count, size=size, mode=MODE_RANDOM, **fixed)(test)
+        return test
+    return add
+
 
 @settings(max_examples=150, deadline=None)
 @given(count=st.integers(0, 20), size=st.integers(1, 300),
@@ -180,11 +209,30 @@ def test_small_filter_fp_rate_matches_rational_oracle():
 # ranges past the shared bit table shift instead
 @example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=5, element="edge")
 @example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=5, element="edge")
+@range_examples(seed=5, element="edge")
 def test_element_mask_matches_reference_stream(count, size, mode, seed, element):
     fam = HashFamily(count, size, mode=mode, seed=seed)
     expected = reference.positions(count, size, seed, element, mode)
     assert len(expected) == count
     assert fam.element_mask(element) == reference.mask(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(0, 20), size=st.integers(1, 3 * _TABLE_SIZE),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       seed=st.integers(0, 2**64 - 1), element=reference.ids)
+# no functions; one, two and three digest blocks; ranges past the bit table
+@example(count=0, size=32, mode=MODE_RANDOM, seed=3, element="edge")
+@example(count=0, size=32, mode=MODE_DOUBLE, seed=3, element="edge")
+@example(count=8, size=160, mode=MODE_RANDOM, seed=3, element="edge")
+@example(count=9, size=160, mode=MODE_RANDOM, seed=3, element="edge")
+@example(count=17, size=256, mode=MODE_RANDOM, seed=3, element="edge")
+@example(count=20, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=3, element=2**70)
+@example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=3, element=b"raw")
+def test_encoded_mask_matches_reference(count, size, mode, seed, element):
+    fam = HashFamily(count, size, mode=mode, seed=seed)
+    assert fam.encoded_mask(element_to_bytes(element)) == \
+           reference.element_mask(count, size, seed, element, mode)
 
 
 @settings(max_examples=150, deadline=None)
@@ -199,12 +247,13 @@ def test_element_mask_matches_reference_stream(count, size, mode, seed, element)
 # no functions: every mask is empty
 @example(count=0, size=100, mode=MODE_RANDOM, seed=0, batch=[3, "x"])
 @example(count=0, size=100, mode=MODE_DOUBLE, seed=0, batch=[3, "x"])
+@range_examples(seed=5, batch=["edge", 7, b"raw"])
 def test_encoded_masks_batch_is_per_item_and_reference(count, size, mode, seed,
                                                        batch):
     fam = HashFamily(count, size, mode=mode, seed=seed)
     datas = [element_to_bytes(e) for e in batch]
     got = fam.encoded_masks(datas)
-    assert got == [fam.encoded_masks((d,))[0] for d in datas]
+    assert got == [fam.encoded_mask(d) for d in datas]
     assert got == [reference.element_mask(count, size, seed, e, mode)
                    for e in batch]
 
@@ -228,6 +277,8 @@ def test_encoded_masks_batch_is_per_item_and_reference(count, size, mode, seed,
          stored=0, noise=0)
 @example(count=0, size=100, mode=MODE_DOUBLE, seed=0, batch=[3, "x"],
          stored=0, noise=0)
+@range_examples(seed=5, batch=["edge", 7, b"raw", "x", 9], stored=2,
+                noise=(1 << 512) // 3)
 def test_count_within_is_the_subset_count(count, size, mode, seed, batch,
                                           stored, noise):
     fam = HashFamily(count, size, mode=mode, seed=seed)

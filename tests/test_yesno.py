@@ -521,15 +521,22 @@ def test_property_kernels_match_the_full_sketch_oracle(case, seed, mode, guard):
 
 
 def _record_walks(monkeypatch):
-    """(count, range_size, items) of every HashFamily.encoded_masks call."""
+    """(count, range_size, items) of every walk: each HashFamily.encoded_masks
+    call, and each HashFamily.encoded_mask call as one item."""
     walks = []
-    walk = HashFamily.encoded_masks
+    walk_list = HashFamily.encoded_masks
+    walk_one = HashFamily.encoded_mask
 
-    def recording(family, datas):
+    def recording_list(family, datas):
         walks.append((family.count, family.range_size, len(datas)))
-        return walk(family, datas)
+        return walk_list(family, datas)
 
-    monkeypatch.setattr(HashFamily, "encoded_masks", recording)
+    def recording_one(family, data):
+        walks.append((family.count, family.range_size, 1))
+        return walk_one(family, data)
+
+    monkeypatch.setattr(HashFamily, "encoded_masks", recording_list)
+    monkeypatch.setattr(HashFamily, "encoded_mask", recording_one)
     return walks
 
 
@@ -561,18 +568,27 @@ def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
-def test_every_walk_reads_the_hasher_through_digests(mode, monkeypatch):
-    """Each walk's elements pass through HashFamily.digests exactly once,
-    so a walk that reads the keyed hasher some other way fails here."""
+def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
+                                                                monkeypatch):
+    """Each walk's elements pass exactly once through HashFamily.digests,
+    the list reader, or HashFamily.encoded_mask, the one-element reader, so
+    a walk that reads the keyed hasher some other way, or through both,
+    fails here."""
     seen = []
-    walk = HashFamily.digests
+    read_list = HashFamily.digests
+    read_one = HashFamily.encoded_mask
 
-    def recording(family, datas):
+    def recording_list(family, datas):
         datas = list(datas)
         seen.extend((family.count, family.range_size, d) for d in datas)
-        return walk(family, datas)
+        return read_list(family, datas)
 
-    monkeypatch.setattr(HashFamily, "digests", recording)
+    def recording_one(family, data):
+        seen.append((family.count, family.range_size, data))
+        return read_one(family, data)
+
+    monkeypatch.setattr(HashFamily, "digests", recording_list)
+    monkeypatch.setattr(HashFamily, "encoded_mask", recording_one)
 
     def walked(shape=None):
         """(count, range_size, data) walked since the last call, of one
