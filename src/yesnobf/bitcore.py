@@ -143,9 +143,9 @@ class HashFamily:
     def encoded_mask(self, data: bytes) -> int:
         """element_mask of one element already encoded by element_to_bytes.
 
-        The one-element walk: it reads the keyed hasher as digests does
-        and reduces the stream as encoded_masks does, with no list around
-        the one element.
+        A one-element walk: it reads the keyed hasher as digests does and
+        reduces the stream as encoded_masks does, with no list around the
+        one element.
         """
         hasher = self._hasher
         stream = b""
@@ -160,10 +160,32 @@ class HashFamily:
             mask |= bits[c % size]
         return mask
 
+    def encoded_within(self, data: bytes, mask: int) -> bool:
+        """Whether the element_mask of one element already encoded by
+        element_to_bytes lies inside mask: count_within for one element.
+
+        It reads the keyed hasher as encoded_mask does, and returns False
+        at the first position outside mask, as a Bloom filter read stops
+        at its first clear bit.
+        """
+        hasher = self._hasher
+        stream = b""
+        for suffix in self._suffixes:
+            h = hasher.copy()
+            h.update(data + suffix)
+            stream += h.digest()
+        size = self.range_size
+        bits = self._bits
+        for c in self._read(stream):
+            if not mask & bits[c % size]:
+                return False
+        return True
+
     def digests(self, datas) -> list[bytes]:
         """Each element's hash stream, for elements already encoded by
-        element_to_bytes: the list walk of the keyed hasher, and with
-        encoded_mask its only reader.
+        element_to_bytes: the list walk of the keyed hasher. encoded_mask
+        and encoded_within are its one-element twins; nothing else reads
+        the hasher.
 
         Random mode gives blocks 0 .. ceil(count/8)-1 of 64 bytes, the
         digests of the encoding + the u32 block number, end to end; chunk i
@@ -265,8 +287,7 @@ class BloomFilter:
         self.inserted_count += 1
 
     def contains(self, element) -> bool:
-        element_mask = self.family.element_mask(element)
-        return element_mask & self.mask == element_mask
+        return self.family.encoded_within(element_to_bytes(element), self.mask)
 
     def __eq__(self, other) -> bool:
         """Same family and same bits; insert bookkeeping is metadata."""

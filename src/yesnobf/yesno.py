@@ -298,13 +298,16 @@ class YesNoFilter:
                 raise ValueError("a candidate no part is wider than q bits")
             f_count += 1
             for j in range(r):
+                # A pinned bit is never set in filter j, so a candidate
+                # carrying one would add it, and a member scan would refuse
+                # it. Without the guard nothing is pinned.
+                if fno & pinned[j]:
+                    continue
                 candidate_mask = no_masks[j] | fno
                 # A placement that adds no bit leaves filter j as the guard
                 # last passed it, and no member no part is empty, so it
                 # covers no member.
                 if guard and candidate_mask != no_masks[j]:
-                    if fno & pinned[j]:
-                        continue  # a member scan would refuse it too
                     if packed is None:
                         # Lane i of packed is member i's no-mask under a set
                         # stop bit; lows and highs hold every lane's lowest
@@ -349,12 +352,13 @@ class YesNoFilter:
 
     def query_sketch(self, s: ElementSketch) -> QueryResult:
         """Two-stage decision for an element already sketched with
-        matching params and seed; contains() and classify() both answer
-        through it, one call per element.
+        matching params and seed; classify() answers through it, one call
+        per element, so a subclass that overrides it is obeyed there.
 
-        They hash the no part only where it can be read, so an override
-        is shown (y, None) for an element the yes stage rejects, and for
-        every element when r is 0.
+        classify() hashes the no part only where it can be read, so an
+        override is shown (y, None) for an element the yes stage rejects,
+        and for every element when r is 0. query() and contains() do not
+        call it.
         """
         y, fno = s
         if y & self.yes_filter != y:
@@ -365,17 +369,23 @@ class YesNoFilter:
         return _POSITIVE
 
     def query(self, element) -> QueryResult:
-        """The element's two-stage answer. The no family hashes it only
-        after the yes stage passes, so a yes-stage negative hashes one
-        family, as a classic Bloom filter query does."""
+        """The element's two-stage answer. The yes stage is a classic Bloom
+        filter read: it stops at the element's first clear bit. The no
+        family hashes the element only after the yes stage passes, so a
+        yes-stage negative costs what a classic read of it costs."""
         sk = self._sketcher
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
         data = element_to_bytes(element)
-        y = sk.yes_family.encoded_mask(data)
-        if y & self.yes_filter == y and self.no_filters:
-            return self.query_sketch((y, sk.no_family.encoded_mask(data)))
-        return self.query_sketch((y, None))
+        if not sk.yes_family.encoded_within(data, self.yes_filter):
+            return _NEGATIVE_YES_STAGE
+        no_filters = self.no_filters
+        if no_filters:
+            fno = sk.no_family.encoded_mask(data)
+            for nm in no_filters:
+                if fno & nm == fno:
+                    return _NEGATIVE_NO_STAGE
+        return _POSITIVE
 
     def contains(self, element) -> bool:
         return self.query(element) is _POSITIVE

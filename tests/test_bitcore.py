@@ -294,6 +294,46 @@ def test_count_within_is_the_subset_count(count, size, mode, seed, batch,
     assert fam.count_within(datas, held) >= min(stored, len(batch))
 
 
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(0, 20), size=st.integers(1, 3 * _TABLE_SIZE),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       seed=st.integers(0, 2**64 - 1), element=reference.ids,
+       noise=st.integers(0, 2**(3 * _TABLE_SIZE)))
+# no functions; one digest block, then two
+@example(count=0, size=32, mode=MODE_RANDOM, seed=3, element="edge", noise=0)
+@example(count=0, size=32, mode=MODE_DOUBLE, seed=3, element="edge", noise=0)
+@example(count=8, size=160, mode=MODE_RANDOM, seed=3, element="edge", noise=0)
+@example(count=9, size=160, mode=MODE_RANDOM, seed=3, element="edge", noise=0)
+@example(count=20, size=160, mode=MODE_DOUBLE, seed=3, element="edge", noise=0)
+# ranges past the shared bit table shift instead
+@example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=3, element=2**70,
+         noise=0)
+@example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=3, element=b"raw",
+         noise=0)
+@range_examples(seed=5, element="edge", noise=(1 << 512) // 3)
+def test_encoded_within_is_the_one_element_subset_test(count, size, mode, seed,
+                                                       element, noise):
+    fam = HashFamily(count, size, mode=mode, seed=seed)
+    data = element_to_bytes(element)
+    own = fam.encoded_mask(data)
+    positions = reference.positions(count, size, seed, element, mode)
+    # so each answer below is also the reference's
+    assert own == reference.mask(positions)
+    full = (1 << size) - 1
+    # the element's own mask short of its first or its last position makes
+    # the walk stop at its first chunk, or at its last unless that position
+    # came up earlier
+    masks = [0, full, own, noise & full, own | noise & full]
+    masks += [own & ~(1 << positions[i]) for i in (0, -1) if positions]
+    bf = BloomFilter(size, count, seed=seed, mode=mode) if count else None
+    for mask in masks:
+        within = own & mask == own
+        assert fam.encoded_within(data, mask) == within
+        if bf:
+            bf.mask = mask
+            assert bf.contains(element) == within
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(reference.ids, max_size=40), reference.ids,
        st.integers(min_value=0, max_value=2**32))

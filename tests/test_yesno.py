@@ -433,7 +433,7 @@ def test_property_classify_files_each_element_where_query_sketch_says(
                          if filt.query_sketch(s) is outcome]
 
 
-def test_classify_and_contains_obey_an_overriding_query_sketch():
+def test_classify_obeys_an_overriding_query_sketch():
     class SaysNoTo(YesNoFilter):
         __slots__ = ("refused",)
 
@@ -450,7 +450,6 @@ def test_classify_and_contains_obey_an_overriding_query_sketch():
     stub.refused = Sketcher(params, seed=3).sketch(members[0])
     assert filt.classify(members, candidates).false_negatives == []
     assert stub.classify(members, candidates).false_negatives == [members[0]]
-    assert not stub.contains(members[0])
 
     class Records(YesNoFilter):
         __slots__ = ("shown",)
@@ -471,9 +470,28 @@ def test_classify_and_contains_obey_an_overriding_query_sketch():
     recorder.shown = []
     recorder.classify(members, candidates)
     assert recorder.shown == expected
-    recorder.shown = []
-    assert [recorder.contains(e) for e in probes] == [filt.contains(e) for e in probes]
-    assert recorder.shown == expected
+
+
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
+def test_a_filter_whose_no_filter_covers_a_member_answers_no_to_it(mode):
+    """A fault in the filter's state, as a tampered or mis-loaded filter
+    can carry: no-filter 0 holds member 0's no part. Every reader then
+    answers no to member 0."""
+    params = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3)
+    members = [f"name-{i}" for i in range(12)]
+    candidates = [f"probe-{i}" for i in range(60)]
+    filt, _ = YesNoFilter.build(params, members, candidates, seed=3, mode=mode)
+    assert all(filt.contains(e) for e in members)
+    no_part = Sketcher(params, 3, mode).sketch(members[0])[1]
+    assert filt.no_filters[0] | no_part != filt.no_filters[0]
+    lossy = YesNoFilter(params, filt.yes_filter,
+                        [filt.no_filters[0] | no_part, *filt.no_filters[1:]],
+                        seed=3, mode=mode)
+    assert lossy.query(members[0]) is QueryResult.NEGATIVE_NO_STAGE
+    assert not lossy.contains(members[0])
+    lost = lossy.classify(members, candidates).false_negatives
+    assert lost[0] == members[0]
+    assert lost == [e for e in members if not lossy.contains(e)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -522,10 +540,12 @@ def test_property_kernels_match_the_full_sketch_oracle(case, seed, mode, guard):
 
 def _record_walks(monkeypatch):
     """(count, range_size, items) of every walk: each HashFamily.encoded_masks
-    call, and each HashFamily.encoded_mask call as one item."""
+    call, and each HashFamily.encoded_mask or encoded_within call as one
+    item."""
     walks = []
     walk_list = HashFamily.encoded_masks
     walk_one = HashFamily.encoded_mask
+    test_one = HashFamily.encoded_within
 
     def recording_list(family, datas):
         walks.append((family.count, family.range_size, len(datas)))
@@ -535,8 +555,13 @@ def _record_walks(monkeypatch):
         walks.append((family.count, family.range_size, 1))
         return walk_one(family, data)
 
+    def recording_test(family, data, mask):
+        walks.append((family.count, family.range_size, 1))
+        return test_one(family, data, mask)
+
     monkeypatch.setattr(HashFamily, "encoded_masks", recording_list)
     monkeypatch.setattr(HashFamily, "encoded_mask", recording_one)
+    monkeypatch.setattr(HashFamily, "encoded_within", recording_test)
     return walks
 
 
@@ -571,12 +596,13 @@ def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
 def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
                                                                 monkeypatch):
     """Each walk's elements pass exactly once through HashFamily.digests,
-    the list reader, or HashFamily.encoded_mask, the one-element reader, so
-    a walk that reads the keyed hasher some other way, or through both,
-    fails here."""
+    the list reader, or through a one-element reader, HashFamily.encoded_mask
+    or encoded_within, so a walk that reads the keyed hasher some other way,
+    or through two readers, fails here."""
     seen = []
     read_list = HashFamily.digests
     read_one = HashFamily.encoded_mask
+    test_one = HashFamily.encoded_within
 
     def recording_list(family, datas):
         datas = list(datas)
@@ -587,8 +613,13 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
         seen.append((family.count, family.range_size, data))
         return read_one(family, data)
 
+    def recording_test(family, data, mask):
+        seen.append((family.count, family.range_size, data))
+        return test_one(family, data, mask)
+
     monkeypatch.setattr(HashFamily, "digests", recording_list)
     monkeypatch.setattr(HashFamily, "encoded_mask", recording_one)
+    monkeypatch.setattr(HashFamily, "encoded_within", recording_test)
 
     def walked(shape=None):
         """(count, range_size, data) walked since the last call, of one
@@ -604,6 +635,8 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
     fam.encoded_masks(datas)
     assert walked() == [(5, 64, d) for d in datas]
     fam.element_mask(7)
+    assert walked() == [(5, 64, datas[1])]
+    BloomFilter(64, 5, seed=3, mode=mode).contains(7)
     assert walked() == [(5, 64, datas[1])]
     Sketcher(params, 3, mode).sketch("a")
     assert walked() == [(*yes, datas[0]), (*no, datas[0])]
@@ -627,3 +660,81 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
     links = [element_to_bytes(link.id) for link in exp.s_links + exp.t_links]
     baseline = [(exp.k_bf, params.m, d) for d in links]
     assert walked((exp.k_bf, params.m)) == baseline * exp.allocations
+
+
+class _CountingBits:
+    """A family's bit table that counts the positions a walk reads."""
+
+    def __init__(self, bits, counts):
+        self.bits = bits
+        self.counts = counts
+
+    def __getitem__(self, i):
+        self.counts["positions"] += 1
+        return self.bits[i]
+
+
+class _CountingHasher:
+    """A family's keyed hasher whose copies count the digests taken."""
+
+    def __init__(self, hasher, counts):
+        self.hasher = hasher
+        self.counts = counts
+
+    def copy(self):
+        return _CountingHasher(self.hasher.copy(), self.counts)
+
+    def update(self, data):
+        self.hasher.update(data)
+
+    def digest(self):
+        self.counts["digests"] += 1
+        return self.hasher.digest()
+
+
+def _count_reads(family):
+    """Counters of the positions and digests family reads from now on."""
+    counts = {"positions": 0, "digests": 0}
+    family._bits = _CountingBits(family._bits, counts)
+    family._hasher = _CountingHasher(family._hasher, counts)
+    return counts
+
+
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
+def test_a_query_reads_what_a_classic_read_reads(mode):
+    """The abstract's query claim in counted work: a yes-no query reads as
+    many yes positions as a classic filter of p bits and k hashes holding
+    the members, up to its first clear bit, and one more digest, the no
+    part's, only after the yes stage passes."""
+    params = YesNoParams.of(p=160, q=32, r=3, k=4, k_prime=5)
+    members = [f"member-{i}" for i in range(30)]
+    candidates = [f"candidate-{i}" for i in range(100)]
+    fresh = [f"fresh-{i}" for i in range(200)]
+    filt, _ = YesNoFilter.build(params, members, candidates, seed=11, mode=mode)
+    classic = BloomFilter(params.p, params.k, seed=11, mode=mode)
+    for e in members:
+        classic.insert(e)
+    assert classic.mask == filt.yes_filter
+    sk = filt._sketcher
+    yes_counts = _count_reads(sk.yes_family)
+    no_counts = _count_reads(sk.no_family)
+    classic_counts = _count_reads(classic.family)
+
+    stops = 0
+    for e in members + candidates + fresh:
+        positions = reference.positions(params.k, params.p, 11, e, mode)
+        clear = [i for i, pos in enumerate(positions)
+                 if not filt.yes_filter >> pos & 1]
+        passes = not clear
+        stops += clear[:1] == [0]
+        for counts in (yes_counts, no_counts, classic_counts):
+            counts.update(positions=0, digests=0)
+        answer = filt.query(e)
+        assert (answer is not QueryResult.NEGATIVE_YES_STAGE) == passes
+        assert classic.contains(e) == passes
+        assert yes_counts["positions"] == classic_counts["positions"] == \
+               (params.k if passes else clear[0] + 1)
+        assert yes_counts["digests"] + no_counts["digests"] == 1 + passes
+        assert classic_counts["digests"] == 1
+    # about half the fill is clear, so reads do stop early
+    assert stops > len(fresh) // 2
