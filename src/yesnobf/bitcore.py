@@ -69,8 +69,8 @@ class _ShiftedBits:
 
 @lru_cache(maxsize=256)
 def _shape(count: int, range_size: int, mode: str) -> tuple:
-    """(digest suffixes, digest size, stream reader, bit table) of a
-    family shape: the one place bitcore decides a hash mode. The sweep's
+    """(digest suffixes, digest size, stream reader, bit table, blocks) of
+    a family shape: the one place bitcore decides a hash mode. The sweep's
     numpy pass, simulate._hash_rows, carries a copy of both position
     rules, which its tests hold to encoded_masks.
 
@@ -83,7 +83,8 @@ def _shape(count: int, range_size: int, mode: str) -> tuple:
     the reader gives each chunk's first byte instead of unpacking 64 bits.
     A double-hashing walk takes one unsuffixed digest, read as h1 and h2,
     and its chunks are the progression h1 % range + i * stride. A family
-    of count 0 has no blocks and reads no chunks, in either mode. None of
+    of count 0 has no blocks and reads no chunks, in either mode. blocks
+    pairs each suffix with a reader of its own digest's chunks. None of
     it depends on the seed, so families rebuilt per seed share it.
     """
     bits = _BITS if range_size <= _TABLE_SIZE else _ShiftedBits()
@@ -94,13 +95,13 @@ def _shape(count: int, range_size: int, mode: str) -> tuple:
             h1, h2 = unpack(stream)
             start, stride = h1 % range_size, h2 % range_size or 1
             return range(start, start + count * stride, stride)
-        return (b"",), 16, read, bits
+        return (b"",), 16, read, bits, ((b"", read),)
     suffixes = tuple(block.to_bytes(4, "little") for block in range(-(-count // 8)))
-    if 256 % range_size:
-        read = struct.Struct(f"<{count}Q").unpack_from
-    else:
-        read = itemgetter(slice(0, 8 * count, 8))
-    return suffixes, 64, read, bits
+    # readers of the stream's count chunks, then of each block's own
+    readers = [struct.Struct(f"<{n}Q").unpack_from if 256 % range_size
+               else itemgetter(slice(0, 8 * n, 8))
+               for n in (count, *(min(8, count - i) for i in range(0, count, 8)))]
+    return suffixes, 64, readers[0], bits, tuple(zip(suffixes, readers[1:]))
 
 
 class HashFamily:
@@ -113,7 +114,7 @@ class HashFamily:
     """
 
     __slots__ = ("count", "range_size", "mode", "seed", "_key", "_hasher",
-                 "_suffixes", "_read", "_bits")
+                 "_suffixes", "_read", "_bits", "_blocks")
 
     def __init__(self, count: int, range_size: int, *, mode: str = MODE_RANDOM,
                  seed: int = 0):
@@ -129,8 +130,8 @@ class HashFamily:
         self.seed = seed & MASK64
         flags = _MODES.index(mode)
         self._key = struct.pack("<QQQB", self.seed, count, range_size, flags)
-        self._suffixes, digest_size, self._read, self._bits = _shape(
-            count, range_size, mode)
+        (self._suffixes, digest_size, self._read, self._bits,
+         self._blocks) = _shape(count, range_size, mode)
         # keyed once; each digest copies it rather than deriving the key and
         # parameter block again. The copy still holds the key block, which
         # blake2b buffers until data arrives, so every digest compresses it.
@@ -143,21 +144,19 @@ class HashFamily:
     def encoded_mask(self, data: bytes) -> int:
         """element_mask of one element already encoded by element_to_bytes.
 
-        A one-element walk: it reads the keyed hasher as digests does and
-        reduces the stream as encoded_masks does, with no list around the
-        one element.
+        A one-element walk: it reads the keyed hasher as digests does, one
+        block at a time, and reduces the chunks as encoded_masks does, with
+        no list or joined stream around the one element.
         """
         hasher = self._hasher
-        stream = b""
-        for suffix in self._suffixes:
-            h = hasher.copy()
-            h.update(data + suffix)
-            stream += h.digest()
         size = self.range_size
         bits = self._bits
         mask = 0
-        for c in self._read(stream):
-            mask |= bits[c % size]
+        for suffix, read in self._blocks:
+            h = hasher.copy()
+            h.update(data + suffix)
+            for c in read(h.digest()):
+                mask |= bits[c % size]
         return mask
 
     def encoded_within(self, data: bytes, mask: int) -> bool:
@@ -166,19 +165,17 @@ class HashFamily:
 
         It reads the keyed hasher as encoded_mask does, and returns False
         at the first position outside mask, as a Bloom filter read stops
-        at its first clear bit.
+        at its first clear bit, before digesting any later block.
         """
         hasher = self._hasher
-        stream = b""
-        for suffix in self._suffixes:
-            h = hasher.copy()
-            h.update(data + suffix)
-            stream += h.digest()
         size = self.range_size
         bits = self._bits
-        for c in self._read(stream):
-            if not mask & bits[c % size]:
-                return False
+        for suffix, read in self._blocks:
+            h = hasher.copy()
+            h.update(data + suffix)
+            for c in read(h.digest()):
+                if not mask & bits[c % size]:
+                    return False
         return True
 
     def digests(self, datas) -> list[bytes]:

@@ -255,6 +255,7 @@ class YesNoFilter:
         raises ValueError, and so does a None no part that the guard or a
         query would read, and an empty member no part when r > 0.
         """
+        p = params.p
         q = params.q
         r = params.r
         yes_mask = 0
@@ -274,40 +275,46 @@ class YesNoFilter:
                 raise ValueError("a member no part is wider than q bits")
             yes_mask |= y
             member_no_masks.append(mn)
-        if yes_mask >> params.p:
+        if yes_mask >> p:
             raise ValueError("a member yes part is wider than p bits")
 
-        no_masks = [0] * r
-        loads = [0] * r
-        # pinned[j]: bits that are the only bit some member's no-pattern
-        # lacks in no-filter j. Setting one would cover that member, so the
-        # guard refuses every candidate carrying it and the bit stays clear.
-        pinned = [0] * r
-        guard = not params.allow_false_negatives
-        packed = None  # member no-masks one per lane, packed at first need
-        f_count = 0
-        r_count = 0
-
+        outside = yes_mask ^ ((1 << p) - 1)
+        left = []  # the no parts of the yes stage's false positives, in order
         for y, fno in candidate_sketches:
-            if y & yes_mask != y:
-                continue  # genuine negative, nothing to mitigate
+            if y & outside or y >> p:  # a bit outside the p-bit yes filter
+                continue
             if fno is None:
                 if r:
                     raise ValueError("a yes-stage false positive lacks its no part")
             elif fno >> q:
                 raise ValueError("a candidate no part is wider than q bits")
-            f_count += 1
-            for j in range(r):
-                # A pinned bit is never set in filter j, so a candidate
-                # carrying one would add it, and a member scan would refuse
-                # it. Without the guard nothing is pinned.
-                if fno & pinned[j]:
+            left.append(fno)
+        f_count = len(left)
+
+        # First fit, one no-filter at a time: filter j reads only its mask and
+        # the pins its earlier attempts set, and is offered, in input order, the
+        # false positives 0..j-1 refused, as a candidate-major first fit does. It
+        # moves those it refuses to the front of left: no list is made per j.
+        no_masks = [0] * r
+        loads = [0] * r
+        guard = not params.allow_false_negatives
+        packed = None  # member no-masks one per lane, packed at first need
+        for j in range(r):
+            if not left:
+                break
+            # pinned: bits each the only one some member's no-pattern lacks in
+            # nm. The guard refuses every candidate carrying one: never set.
+            nm = pinned = stay = 0
+            for fno in left:
+                if fno & pinned:
+                    left[stay] = fno
+                    stay += 1
                     continue
-                candidate_mask = no_masks[j] | fno
-                # A placement that adds no bit leaves filter j as the guard
-                # last passed it, and no member no part is empty, so it
-                # covers no member.
-                if guard and candidate_mask != no_masks[j]:
+                candidate_mask = nm | fno
+                # A placement that adds no bit leaves nm as the guard last
+                # passed it, and no member no part is empty, so it covers
+                # no member.
+                if guard and candidate_mask != nm:
                     if packed is None:
                         # Lane i of packed is member i's no-mask under a set
                         # stop bit; lows and highs hold every lane's lowest
@@ -331,23 +338,19 @@ class YesNoFilter:
                         covered = highs & ~kept
                         mn = member_no_masks[
                             ((covered & -covered).bit_length() - 1) // width]
-                        missing = mn & ~no_masks[j]
+                        missing = mn & ~nm
                         if not missing & (missing - 1):
-                            pinned[j] |= missing
+                            pinned |= missing
+                        left[stay] = fno
+                        stay += 1
                         continue
-                no_masks[j] = candidate_mask
-                loads[j] += 1
-                r_count += 1
-                break
+                nm = candidate_mask
+            no_masks[j] = nm
+            loads[j] = len(left) - stay
+            del left[stay:]
 
-        report = ConstructionReport(
-            n=len(member_sketches),
-            t=len(candidate_sketches),
-            f_count=f_count,
-            r_count=r_count,
-            unmitigated=f_count - r_count,
-            per_no_filter_load=tuple(loads),
-        )
+        report = ConstructionReport(len(member_sketches), len(candidate_sketches),
+                                    f_count, f_count - len(left), len(left), tuple(loads))
         return cls(params, yes_mask, no_masks, seed=seed, mode=mode), report
 
     def query_sketch(self, s: ElementSketch) -> QueryResult:

@@ -10,7 +10,9 @@ Results are the library's value types, so tests compare them with ==.
 import random
 import struct
 from collections import deque
+from fractions import Fraction
 from hashlib import blake2b
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -144,6 +146,31 @@ def trial(params, members, candidates, seed, mode=MODE_RANDOM):
     yes_mask, no_masks, report = first_fit(
         params, [s for _, s in member_pairs], [s for _, s in candidate_pairs])
     return report, classify(yes_mask, no_masks, member_pairs, candidate_pairs)
+
+
+def sketch_assignments(params, n, t):
+    """Every assignment of random-mode sketches to n members and t
+    candidates, each equally likely: per element, k yes positions in
+    [0, p) and k' no positions in [0, q), ordered, with replacement.
+    Yields (member sketches, candidate sketches)."""
+    parts = [(mask(yes), mask(no))
+             for yes in product(range(params.p), repeat=params.k)
+             for no in product(range(params.q), repeat=params.k_prime)]
+    for sketches in product(parts, repeat=n + t):
+        yield list(sketches[:n]), list(sketches[n:])
+
+
+def exact_mean_fp(params, n, t) -> Fraction:
+    """The expected residual false positives of a random-mode build over
+    n members and t candidates: the mean over every sketch assignment of
+    first_fit, then query."""
+    total = count = 0
+    for members, candidates in sketch_assignments(params, n, t):
+        yes_mask, no_masks, _ = first_fit(params, members, candidates)
+        total += sum(query(yes_mask, no_masks, s) is QueryResult.POSITIVE
+                     for s in candidates)
+        count += 1
+    return Fraction(total, count)
 
 
 def bfs_dists(graph, source) -> dict[str, int]:

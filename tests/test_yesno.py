@@ -1,5 +1,7 @@
 """Two-stage filter construction, queries, and serialization."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -159,6 +161,9 @@ def test_build_rejects_overlap_and_duplicates():
     ([(1 << 8, 0b1)], []),                  # member yes part wider than p
     ([(0b1, 0b1)], [(0b1, 1 << 4)]),        # yes-stage FP no part wider than q
     ([(0b1, -1)], []),
+    # a later FP's, after an earlier FP was placed, and after a yes-stage
+    # negative whose missing no part is never read
+    ([(0b1, 0b1)], [(0b10, None), (0b1, 0b0010), (0b1, 1 << 4)]),
 ])
 def test_build_rejects_sketches_wider_than_their_filter(members, candidates):
     # with no no-filters too: an int no part is checked even where None may stand
@@ -171,6 +176,9 @@ def test_build_rejects_sketches_wider_than_their_filter(members, candidates):
 @pytest.mark.parametrize("members, candidates", [
     ([(0b1, 0b1), (0b10, None)], [(0b1, 0b10)]),   # a member
     ([(0b11, 0b1)], [(0b100, None), (0b10, None)]),  # a yes-stage FP
+    # a later FP, after an earlier FP was placed, and after a yes-stage
+    # negative whose wide no part is never checked
+    ([(0b11, 0b1)], [(0b100, 1 << 9), (0b1, 0b10), (0b10, None)]),
 ])
 def test_build_rejects_a_missing_no_part_it_would_read(members, candidates):
     params = YesNoParams.of(p=8, q=4, r=1, k=1, k_prime=2)
@@ -197,13 +205,14 @@ def test_build_rejects_an_empty_member_no_part(guard):
 def test_build_takes_a_missing_no_part_nothing_reads(r):
     params = YesNoParams.of(p=8, q=4, r=r, k=1, k_prime=2)
     members = [(0b11, None if r == 0 else 0b1)]
-    # the second candidate passes the yes stage, so r=1 must give it a no part
-    candidates = [(0b100, None), (0b10, None if r == 0 else 0b10)]
+    # the last candidate passes the yes stage, so r=1 must give it a no part;
+    # the middle one's yes part has a bit past p, outside the yes filter
+    candidates = [(0b100, None), (0b1 | 1 << 8, None), (0b10, None if r == 0 else 0b10)]
     filt, report = YesNoFilter.build_from_sketches(params, members, candidates, seed=0)
     assert (report.f_count, report.r_count) == (1, r)
-    got = filt.classify_sketches(list(zip("m", members)), list(zip("ab", candidates)))
+    got = filt.classify_sketches(list(zip("m", members)), list(zip("axb", candidates)))
     assert got.true_positives == ["m"]
-    assert got.yes_stage_negatives == ["a"]
+    assert got.yes_stage_negatives == ["a", "x"]
     assert (got.no_stage_rejections, got.residual_false_positives) == \
            ((["b"], []) if r else ([], ["b"]))
 
@@ -394,6 +403,13 @@ def _saturating(q_min, q_max, n_max):
        t=st.integers(0, 400), base=st.integers(0, 2**32),
        seed=st.integers(0, 2**32 - 1),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]), guard=st.booleans())
+# the serve benchmark's geometry and window: all eight no-filters take false
+# positives and a quarter stay unmitigated, so pins are dense, which the
+# strategies above rarely reach
+@example(shape=(256, 32, 8, 4, 4, 60), t=2000, base=0, seed=5, mode=MODE_RANDOM,
+         guard=True)
+@example(shape=(256, 32, 8, 4, 4, 60), t=2000, base=0, seed=5, mode=MODE_RANDOM,
+         guard=False)
 def test_property_build_matches_plain_first_fit(shape, t, base, seed, mode, guard):
     p, q, r, k, k_prime, n = shape
     params = YesNoParams.of(p, q, r, k, k_prime, allow_false_negatives=not guard)
@@ -406,6 +422,25 @@ def test_property_build_matches_plain_first_fit(shape, t, base, seed, mode, guar
     assert built.yes_filter == yes_mask
     assert built.no_filters == no_masks
     assert report == expected
+
+
+@pytest.mark.parametrize("p, q, r, exact", [(4, 2, 1, Fraction(21, 32)),
+                                             (5, 2, 2, Fraction(27, 50))])
+def test_every_sketch_assignment_builds_as_first_fit_to_the_exact_mean_fp(
+        p, q, r, exact):
+    """At k = k' = 1 and two members and two candidates, every random-mode
+    sketch assignment (4,096 and 10,000) builds as the reference first fit
+    does, and the mean residual false positives is exact: with the guard,
+    the value the enumeration gives; without it, every false positive is
+    recorded."""
+    for guard in (True, False):
+        params = YesNoParams.of(p, q, r, 1, 1, allow_false_negatives=not guard)
+        for members, candidates in reference.sketch_assignments(params, 2, 2):
+            built, report = YesNoFilter.build_from_sketches(params, members,
+                                                            candidates, seed=0)
+            assert (built.yes_filter, built.no_filters, report) == \
+                   reference.first_fit(params, members, candidates)
+        assert reference.exact_mean_fp(params, 2, 2) == (exact if guard else 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -738,3 +773,24 @@ def test_a_query_reads_what_a_classic_read_reads(mode):
         assert classic_counts["digests"] == 1
     # about half the fill is clear, so reads do stop early
     assert stops > len(fresh) // 2
+
+
+@pytest.mark.parametrize("count, size", [(20, 160), (9, 256), (4, 256)])
+def test_a_stopped_read_digests_no_block_past_its_stop(count, size):
+    """A random-mode read digests a block only when its walk reaches the
+    block's first chunk; a family of count <= 8 digests its one block."""
+    fam = HashFamily(count, size, seed=1)
+    data = element_to_bytes("x")
+    counts = _count_reads(fam)
+    assert not fam.encoded_within(data, 0)
+    assert counts == {"positions": 1, "digests": 1}
+    positions = reference.positions(count, size, 1, "x")
+    for stop in range(count):
+        if positions[stop] in positions[:stop]:
+            continue  # set by its first occurrence, so the read passes it
+        counts.update(positions=0, digests=0)
+        assert not fam.encoded_within(data, reference.mask(positions[:stop]))
+        assert counts == {"positions": stop + 1, "digests": stop // 8 + 1}
+    counts.update(positions=0, digests=0)
+    assert fam.encoded_within(data, reference.mask(positions))
+    assert counts == {"positions": count, "digests": -(-count // 8)}
