@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from hashlib import blake2b
+from itertools import repeat
 from operator import itemgetter
 
 MASK64 = (1 << 64) - 1
@@ -69,39 +70,40 @@ class _ShiftedBits:
 
 @lru_cache(maxsize=256)
 def _shape(count: int, range_size: int, mode: str) -> tuple:
-    """(digest suffixes, digest size, stream reader, bit table, blocks) of
-    a family shape: the one place bitcore decides a hash mode. The sweep's
-    numpy pass, simulate._hash_rows, carries a copy of both position
-    rules, which its tests hold to encoded_masks.
+    """(digest size, bit table, blocks) of a family shape: the one place
+    bitcore decides a hash mode. The sweep's numpy pass,
+    simulate._hash_rows, carries a copy of both position rules, which its
+    tests hold to encoded_mask.
 
-    An element's digests are of its encoding + each suffix, and the reader
-    turns its stream into count chunks, chunk i giving position
-    chunk % range_size. A random-mode walk takes exactly the first count
-    chunks of blocks 0 .. ceil(count/8)-1, so its blocks and their
-    unpacker are fixed by the shape. Where range_size divides 256, a
-    little-endian chunk mod range_size is its low byte mod range_size, so
-    the reader gives each chunk's first byte instead of unpacking 64 bits.
-    A double-hashing walk takes one unsuffixed digest, read as h1 and h2,
-    and its chunks are the progression h1 % range + i * stride. A family
-    of count 0 has no blocks and reads no chunks, in either mode. blocks
-    pairs each suffix with a reader of its own digest's chunks. None of
-    it depends on the seed, so families rebuilt per seed share it.
+    blocks pairs each digest suffix with a reader of that digest's chunks:
+    an element's digests are of its encoding + each suffix, and chunk c
+    gives position c % range_size. A random-mode walk takes exactly the
+    first count chunks of blocks 0 .. ceil(count/8)-1, eight to a block,
+    so its blocks and their unpackers are fixed by the shape. Where
+    range_size divides 256, a little-endian chunk mod range_size is its
+    low byte mod range_size, so a reader gives each chunk's first byte
+    instead of unpacking 64 bits. A double-hashing walk takes one
+    unsuffixed digest, read as h1 and h2, and its chunks are the
+    progression h1 % range + i * stride. A family of count 0 has no
+    blocks and reads no chunks, in either mode. None of it depends on the
+    seed, so families rebuilt per seed share it.
     """
     bits = _BITS if range_size <= _TABLE_SIZE else _ShiftedBits()
     if mode == MODE_DOUBLE and count:
         unpack = struct.Struct("<2Q").unpack_from
 
-        def read(stream):
-            h1, h2 = unpack(stream)
+        def read(digest):
+            h1, h2 = unpack(digest)
             start, stride = h1 % range_size, h2 % range_size or 1
             return range(start, start + count * stride, stride)
-        return (b"",), 16, read, bits, ((b"", read),)
-    suffixes = tuple(block.to_bytes(4, "little") for block in range(-(-count // 8)))
-    # readers of the stream's count chunks, then of each block's own
-    readers = [struct.Struct(f"<{n}Q").unpack_from if 256 % range_size
-               else itemgetter(slice(0, 8 * n, 8))
-               for n in (count, *(min(8, count - i) for i in range(0, count, 8)))]
-    return suffixes, 64, readers[0], bits, tuple(zip(suffixes, readers[1:]))
+        return 16, bits, ((b"", read),)
+    blocks = []
+    for start in range(0, count, 8):
+        n = min(8, count - start)
+        read = (struct.Struct(f"<{n}Q").unpack_from if 256 % range_size
+                else itemgetter(slice(0, 8 * n, 8)))
+        blocks.append(((start // 8).to_bytes(4, "little"), read))
+    return 64, bits, tuple(blocks)
 
 
 class HashFamily:
@@ -114,7 +116,7 @@ class HashFamily:
     """
 
     __slots__ = ("count", "range_size", "mode", "seed", "_key", "_hasher",
-                 "_suffixes", "_read", "_bits", "_blocks")
+                 "_bits", "_blocks")
 
     def __init__(self, count: int, range_size: int, *, mode: str = MODE_RANDOM,
                  seed: int = 0):
@@ -130,8 +132,7 @@ class HashFamily:
         self.seed = seed & MASK64
         flags = _MODES.index(mode)
         self._key = struct.pack("<QQQB", self.seed, count, range_size, flags)
-        (self._suffixes, digest_size, self._read, self._bits,
-         self._blocks) = _shape(count, range_size, mode)
+        digest_size, self._bits, self._blocks = _shape(count, range_size, mode)
         # keyed once; each digest copies it rather than deriving the key and
         # parameter block again. The copy still holds the key block, which
         # blake2b buffers until data arrives, so every digest compresses it.
@@ -144,9 +145,8 @@ class HashFamily:
     def encoded_mask(self, data: bytes) -> int:
         """element_mask of one element already encoded by element_to_bytes.
 
-        A one-element walk: it reads the keyed hasher as digests does, one
-        block at a time, and reduces the chunks as encoded_masks does, with
-        no list or joined stream around the one element.
+        It reads the keyed hasher one digest block at a time, as digests
+        does for a list, and ORs in the position of each chunk.
         """
         hasher = self._hasher
         size = self.range_size
@@ -178,70 +178,42 @@ class HashFamily:
                     return False
         return True
 
-    def digests(self, datas) -> list[bytes]:
-        """Each element's hash stream, for elements already encoded by
-        element_to_bytes: the list walk of the keyed hasher. encoded_mask
-        and encoded_within are its one-element twins; nothing else reads
-        the hasher.
-
-        Random mode gives blocks 0 .. ceil(count/8)-1 of 64 bytes, the
-        digests of the encoding + the u32 block number, end to end; chunk i
-        (little-endian 64-bit) of the stream gives position chunk % range.
-        Double-hashing mode gives the one 16-byte digest of the encoding,
-        chunks h1 and h2; position i is (h1 % range + i * stride) % range,
-        with stride = h2 % range, or 1 where that is 0. A family of count 0
-        gives each element an empty stream.
-        """
-        hasher = self._hasher
-        suffixes = self._suffixes
-        streams = []
-        for data in datas:
-            stream = b""
-            for suffix in suffixes:
-                h = hasher.copy()
-                h.update(data + suffix)
-                stream += h.digest()
-            streams.append(stream)
-        return streams
-
-    def encoded_masks(self, datas) -> list[int]:
-        """element_mask of each element of a list already encoded by
-        element_to_bytes: the digests streams reduced to int masks.
-
-        The range, the reader and the bit table load once per list: per
-        element, those lookups and the call cost more than the bit
-        arithmetic.
-        """
-        size = self.range_size
-        read = self._read
-        bits = self._bits
-        masks = []
-        for stream in self.digests(datas):
-            mask = 0
-            for c in read(stream):
-                mask |= bits[c % size]
-            masks.append(mask)
-        return masks
-
     def count_within(self, datas, mask: int) -> int:
         """How many elements of a list already encoded by element_to_bytes
         have their element_mask inside mask: a classic Bloom filter's hits.
 
-        Each element's walk stops at its first position outside mask, as a
-        Bloom filter query stops at its first clear bit. The digests are
-        taken whole, so the hasher is read as encoded_masks reads it.
+        Each element is one encoded_within walk, so it stops at its first
+        position outside mask, as a Bloom filter query stops at its first
+        clear bit, and digests no later block.
         """
-        size = self.range_size
-        read = self._read
-        bits = self._bits
-        within = 0
-        for stream in self.digests(datas):
-            for c in read(stream):
-                if not mask & bits[c % size]:
-                    break
-            else:
-                within += 1
-        return within
+        return sum(map(self.encoded_within, datas, repeat(mask)))
+
+    def digests(self, datas) -> bytes:
+        """The hash streams of a list of elements already encoded by
+        element_to_bytes, end to end as one bytes: the form the sweep's
+        numpy pass, simulate._hash_rows, reads. encoded_mask and
+        encoded_within read the hasher one element at a time; nothing
+        else reads it.
+
+        An element's stream is its blocks' digests in order. Random mode
+        gives blocks 0 .. ceil(count/8)-1 of 64 bytes, the digests of the
+        encoding + the u32 block number; chunk i (little-endian 64-bit) of
+        the stream gives position chunk % range. Double-hashing mode gives
+        the one 16-byte digest of the encoding, chunks h1 and h2; position
+        i is (h1 % range + i * stride) % range, with stride = h2 % range,
+        or 1 where that is 0. A family of count 0 gives each element an
+        empty stream.
+        """
+        hasher = self._hasher
+        suffixes = [suffix for suffix, _ in self._blocks]
+        out = []
+        append = out.append
+        for data in datas:
+            for suffix in suffixes:
+                h = hasher.copy()
+                h.update(data + suffix)
+                append(h.digest())
+        return b"".join(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashFamily):
@@ -294,4 +266,5 @@ class BloomFilter:
 
     def __repr__(self) -> str:
         return (f"BloomFilter(bits={self.bits}, hashes={self.hashes}, "
+                f"seed={self.family.seed}, mode={self.family.mode!r}, "
                 f"set={self.mask.bit_count()}, inserted={self.inserted_count})")

@@ -72,9 +72,10 @@ def _hash_rows(stream: bytes, items: int, count: int, size: int, mode: str):
     """The masks of items elements as uint8 rows of ceil(size/8) bytes,
     bit i of a row (byte 0 lowest) set for position i.
 
-    stream is the elements' HashFamily.digests streams joined end to end,
-    for a family of this count, range size and mode; the rows are the
-    masks HashFamily.encoded_masks reduces from the same streams.
+    stream is what HashFamily.digests gives for the elements, or several
+    such lists joined end to end, for a family of this count, range size
+    and mode; the rows are the masks HashFamily.encoded_mask gives the
+    same elements.
     """
     import numpy as np
 
@@ -128,13 +129,14 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
     The trials pass in chunks of _CHUNK_TRIALS. Each trial draws its ids,
     distinct by construction, so nothing re-checks them as
     YesNoFilter.build does, and its yes family walks all of them with one
-    digest walk. numpy reduces the chunk's
-    digests to yes masks, ORs each trial's members into its yes mask and
-    picks out the yes-stage hits; each trial's no family walks only its
-    hits, reduced the same way. Every trial then builds and classifies
-    through build_from_sketches and classify_sketches with the sketches
-    Sketcher._sketch_sets gives, so the outcomes are those of
-    YesNoFilter.build, then classify, of the same two sets.
+    HashFamily.digests call, which gives their streams as one bytes. numpy
+    reduces the chunk's streams, joined once, to yes masks, ORs each
+    trial's members into its yes mask and picks out the yes-stage hits;
+    each trial's no family walks only its hits, reduced the same way.
+    Every trial then builds and classifies through build_from_sketches and
+    classify_sketches with the sketches Sketcher._sketch_sets gives, so
+    the outcomes are those of YesNoFilter.build, then classify, of the
+    same two sets.
     """
     import numpy as np
 
@@ -147,8 +149,8 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
         datas = [encoded[i * items:(i + 1) * items] for i in range(len(seeds))]
         sketchers = [Sketcher(params, trial_seed, mode) for trial_seed in seeds]
         rows = _hash_rows(
-            b"".join([stream for sk, d in zip(sketchers, datas)
-                      for stream in sk.yes_family.digests(d)]),
+            b"".join([sk.yes_family.digests(d)
+                      for sk, d in zip(sketchers, datas)]),
             len(seeds) * items, params.k, params.p, mode)
         yes_parts = _row_ints(rows)
         if params.r:
@@ -157,8 +159,8 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
             hit_rows = ~(rows & ~yes_masks[:, None]).any(axis=2)
             hits = hit_rows.tolist()
             no_parts = iter(_row_ints(_hash_rows(
-                b"".join([stream for sk, d, h in zip(sketchers, datas, hits)
-                          for stream in sk.no_family.digests(compress(d, h))]),
+                b"".join([sk.no_family.digests(compress(d, h))
+                          for sk, d, h in zip(sketchers, datas, hits)]),
                 int(hit_rows.sum()), params.k_prime, params.q, mode)))
         for i, (trial_seed, (members, candidates)) in enumerate(zip(seeds, drawn)):
             trial_yes = yes_parts[i * items:(i + 1) * items]

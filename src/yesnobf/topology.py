@@ -353,8 +353,8 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
             list(zip(s_ids, s_sketches)), list(zip(t_ids, t_sketches))).fp_count)
         family = HashFamily(experiment.k_bf, params.m, mode=mode, seed=alloc_seed)
         bf_mask = 0
-        for mask in family.encoded_masks(s_datas):
-            bf_mask |= mask
+        for d in s_datas:
+            bf_mask |= family.encoded_mask(d)
         bf_counts.append(family.count_within(t_datas, bf_mask))
     fp_yesno_mean = sum(yn_counts) / experiment.allocations
     fp_bf_mean = sum(bf_counts) / experiment.allocations

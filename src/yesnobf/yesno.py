@@ -101,23 +101,21 @@ class Sketcher:
 
         The yes family walks every element. The no family walks only the
         elements whose yes part passes yes_mask (by default the OR of the
-        members' yes parts, the mask a build lays down), in one batch, and
-        none when there are no no-filters: no query reads the no part of a
-        yes-stage negative. Elements it does not walk get None as no part.
+        members' yes parts, the mask a build lays down), and none when
+        there are no no-filters: no query reads the no part of a yes-stage
+        negative. Elements it does not walk get None as no part.
         """
         datas = [*member_datas, *candidate_datas]
-        yes_parts = self.yes_family.encoded_masks(datas)
+        yes_parts = list(map(self.yes_family.encoded_mask, datas))
         n = len(member_datas)
         if yes_mask is None:
             yes_mask = 0
             for y in yes_parts[:n]:
                 yes_mask |= y
-        sketches = [(y, None) for y in yes_parts]
-        if self.params.r:
-            hits = [i for i, y in enumerate(yes_parts) if y & yes_mask == y]
-            no_parts = self.no_family.encoded_masks([datas[i] for i in hits])
-            for i, fno in zip(hits, no_parts):
-                sketches[i] = (yes_parts[i], fno)
+        r = self.params.r
+        no_part = self.no_family.encoded_mask
+        sketches = [(y, no_part(d) if r and y & yes_mask == y else None)
+                    for y, d in zip(yes_parts, datas)]
         return sketches[:n], sketches[n:]
 
 
@@ -472,4 +470,5 @@ class YesNoFilter:
     def __repr__(self) -> str:
         return (f"YesNoFilter(p={self.params.p}, q={self.params.q}, "
                 f"r={self.params.r}, k={self.params.k}, "
-                f"k_prime={self.params.k_prime}, seed={self.seed})")
+                f"k_prime={self.params.k_prime}, seed={self.seed}, "
+                f"mode={self.mode!r})")

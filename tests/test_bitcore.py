@@ -56,7 +56,7 @@ def test_hash_family_zero_count_yields_no_positions():
         fam = HashFamily(0, 32, mode=mode, seed=1)
         assert reference.positions(0, 32, 1, "x", mode) == []
         assert fam.element_mask("x") == 0
-        assert fam.digests([element_to_bytes("x"), b""]) == [b"", b""]
+        assert fam.digests([element_to_bytes("x"), b""]) == b""
 
 
 def test_hash_family_seed_and_shape_change_stream():
@@ -97,6 +97,12 @@ def test_bloom_filter_insert_then_contains():
     assert all(bf.contains(element) for element in range(20))
     assert bf.inserted_count == 20
     assert bf.mask.bit_count() <= 3 * 20
+
+
+def test_bloom_filter_repr_names_the_seed_and_mode_it_compares():
+    assert repr(BloomFilter(64, 3, seed=5, mode=MODE_DOUBLE)) == (
+        "BloomFilter(bits=64, hashes=3, seed=5, mode='double-hashing', set=0, "
+        "inserted=0)")
 
 
 def test_empty_filter_contains_nothing():
@@ -165,14 +171,21 @@ def test_small_filter_fp_rate_matches_rational_oracle():
 
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
 def test_shape_reads_low_bytes_exactly_where_the_range_divides_256(mode):
-    # three blocks of bytes that differ from chunk to chunk
+    # three digest blocks of bytes that differ from chunk to chunk
     stream = bytes(i * 37 % 251 for i in range(3 * 64))
-    # a double-hashing family of count 0 reads nothing, as a random one does
-    for count in (0, 1, 4, 9, 20) if mode == MODE_RANDOM else (1, 4, 20):
+    for count in (0, 1, 4, 9, 20):
         for size in range(1, 520):
-            read = _shape(count, size, mode)[2]
+            blocks = _shape(count, size, mode)[2]
+            chunks = [read(stream[64 * i:64 * (i + 1)])
+                      for i, (_, read) in enumerate(blocks)]
+            # a random walk reads eight chunks a block, a double one all
+            # count from its one digest; count 0 reads nothing in either
+            assert [len(c) for c in chunks] == (
+                [count] if mode == MODE_DOUBLE and count
+                else [min(8, count - i) for i in range(0, count, 8)])
             byte_reader = mode == MODE_RANDOM and 256 % size == 0
-            assert (read(stream) == stream[:8 * count:8]) == byte_reader
+            for i, c in enumerate(chunks):
+                assert (c == stream[64 * i:64 * i + 8 * len(c):8]) == byte_reader
 
 
 # --- properties ----------------------------------------------------------
@@ -229,33 +242,17 @@ def test_element_mask_matches_reference_stream(count, size, mode, seed, element)
 @example(count=17, size=256, mode=MODE_RANDOM, seed=3, element="edge")
 @example(count=20, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=3, element=2**70)
 @example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=3, element=b"raw")
+# one digest block per element, then two; stride 1; no functions
+@example(count=8, size=500, mode=MODE_RANDOM, seed=5, element=7)
+@example(count=9, size=500, mode=MODE_RANDOM, seed=5, element=b"raw")
+@example(count=4, size=1, mode=MODE_DOUBLE, seed=0, element=3)
+@example(count=0, size=100, mode=MODE_RANDOM, seed=0, element="x")
+@example(count=0, size=100, mode=MODE_DOUBLE, seed=0, element="x")
+@range_examples(seed=5, element=7)
 def test_encoded_mask_matches_reference(count, size, mode, seed, element):
     fam = HashFamily(count, size, mode=mode, seed=seed)
     assert fam.encoded_mask(element_to_bytes(element)) == \
            reference.element_mask(count, size, seed, element, mode)
-
-
-@settings(max_examples=150, deadline=None)
-@given(count=st.integers(0, 20), size=st.integers(1, 500),
-       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       seed=st.integers(0, 2**64 - 1), batch=st.lists(reference.ids, max_size=12))
-# one digest block per element, then two; and an empty list
-@example(count=8, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
-@example(count=9, size=500, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
-@example(count=4, size=1, mode=MODE_DOUBLE, seed=0, batch=[3])
-@example(count=5, size=100, mode=MODE_RANDOM, seed=0, batch=[])
-# no functions: every mask is empty
-@example(count=0, size=100, mode=MODE_RANDOM, seed=0, batch=[3, "x"])
-@example(count=0, size=100, mode=MODE_DOUBLE, seed=0, batch=[3, "x"])
-@range_examples(seed=5, batch=["edge", 7, b"raw"])
-def test_encoded_masks_batch_is_per_item_and_reference(count, size, mode, seed,
-                                                       batch):
-    fam = HashFamily(count, size, mode=mode, seed=seed)
-    datas = [element_to_bytes(e) for e in batch]
-    got = fam.encoded_masks(datas)
-    assert got == [fam.encoded_mask(d) for d in datas]
-    assert got == [reference.element_mask(count, size, seed, e, mode)
-                   for e in batch]
 
 
 @settings(max_examples=150, deadline=None)

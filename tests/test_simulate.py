@@ -149,24 +149,23 @@ def test_zero_no_filters_trial_replays_as_classic_bloom():
 def test_numpy_reduction_is_encoded_masks(count, size, mode, seed, batch):
     fam = HashFamily(count, size, mode=mode, seed=seed)
     datas = [element_to_bytes(e) for e in batch]
-    streams = fam.digests(datas)
+    stream = fam.digests(datas)
     per_element = 64 * -(-count // 8) if mode == MODE_RANDOM else 16 * (count > 0)
-    assert [len(stream) for stream in streams] == [per_element] * len(datas)
-    rows = simulate._hash_rows(b"".join(streams), len(datas), count, size, mode)
+    assert len(stream) == per_element * len(datas)
+    rows = simulate._hash_rows(stream, len(datas), count, size, mode)
     assert rows.shape == (len(datas), (size + 7) // 8)
-    assert simulate._row_ints(rows) == fam.encoded_masks(datas)
+    assert simulate._row_ints(rows) == [fam.encoded_mask(d) for d in datas]
 
 
 def test_numpy_reduction_steps_by_one_where_h2_divides_the_size():
     fam = HashFamily(6, 12, mode=MODE_DOUBLE, seed=0)
     datas = [element_to_bytes(i) for i in range(100)]
-    streams = fam.digests(datas)
-    assert [len(stream) for stream in streams] == [16] * len(datas)
-    stream = b"".join(streams)
+    stream = fam.digests(datas)
+    assert len(stream) == 16 * len(datas)
     h2s = struct.unpack(f"<{2 * len(datas)}Q", stream)[1::2]
     assert any(h2 % 12 == 0 for h2 in h2s)
     rows = simulate._hash_rows(stream, len(datas), 6, 12, MODE_DOUBLE)
-    assert simulate._row_ints(rows) == fam.encoded_masks(datas)
+    assert simulate._row_ints(rows) == [fam.encoded_mask(d) for d in datas]
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))

@@ -291,6 +291,13 @@ def test_zero_no_filters_degenerate_to_plain_bloom():
         assert filt.contains(e) == reference.contains(e)
 
 
+def test_repr_names_the_seed_and_mode_it_compares():
+    params = YesNoParams.of(p=13, q=2, r=1, k=3, k_prime=1)
+    assert repr(YesNoFilter.build(params, [5063], [], 4, MODE_DOUBLE)[0]) == (
+        "YesNoFilter(p=13, q=2, r=1, k=3, k_prime=1, seed=4, "
+        "mode='double-hashing')")
+
+
 def test_serialization_round_trip():
     params = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3)
     members = [f"name-{i}" for i in range(12)]
@@ -574,17 +581,11 @@ def test_property_kernels_match_the_full_sketch_oracle(case, seed, mode, guard):
 
 
 def _record_walks(monkeypatch):
-    """(count, range_size, items) of every walk: each HashFamily.encoded_masks
-    call, and each HashFamily.encoded_mask or encoded_within call as one
-    item."""
+    """(count, range_size, items) of every walk: each HashFamily.encoded_mask
+    or encoded_within call, one item each."""
     walks = []
-    walk_list = HashFamily.encoded_masks
     walk_one = HashFamily.encoded_mask
     test_one = HashFamily.encoded_within
-
-    def recording_list(family, datas):
-        walks.append((family.count, family.range_size, len(datas)))
-        return walk_list(family, datas)
 
     def recording_one(family, data):
         walks.append((family.count, family.range_size, 1))
@@ -594,7 +595,6 @@ def _record_walks(monkeypatch):
         walks.append((family.count, family.range_size, 1))
         return test_one(family, data, mask)
 
-    monkeypatch.setattr(HashFamily, "encoded_masks", recording_list)
     monkeypatch.setattr(HashFamily, "encoded_mask", recording_one)
     monkeypatch.setattr(HashFamily, "encoded_within", recording_test)
     return walks
@@ -667,7 +667,7 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
     yes, no = (params.k, params.p), (params.k_prime, params.q)
     datas = [element_to_bytes(e) for e in ("a", 7, b"c")]
     fam = HashFamily(5, 64, mode=mode, seed=3)
-    fam.encoded_masks(datas)
+    fam.count_within(datas, (1 << 64) - 1)
     assert walked() == [(5, 64, d) for d in datas]
     fam.element_mask(7)
     assert walked() == [(5, 64, datas[1])]
@@ -782,15 +782,19 @@ def test_a_stopped_read_digests_no_block_past_its_stop(count, size):
     fam = HashFamily(count, size, seed=1)
     data = element_to_bytes("x")
     counts = _count_reads(fam)
-    assert not fam.encoded_within(data, 0)
-    assert counts == {"positions": 1, "digests": 1}
     positions = reference.positions(count, size, 1, "x")
-    for stop in range(count):
-        if positions[stop] in positions[:stop]:
-            continue  # set by its first occurrence, so the read passes it
+    # a counted read of one element is its own single read
+    for within in (lambda mask: fam.encoded_within(data, mask),
+                   lambda mask: fam.count_within([data], mask) == 1):
         counts.update(positions=0, digests=0)
-        assert not fam.encoded_within(data, reference.mask(positions[:stop]))
-        assert counts == {"positions": stop + 1, "digests": stop // 8 + 1}
-    counts.update(positions=0, digests=0)
-    assert fam.encoded_within(data, reference.mask(positions))
-    assert counts == {"positions": count, "digests": -(-count // 8)}
+        assert not within(0)
+        assert counts == {"positions": 1, "digests": 1}
+        for stop in range(count):
+            if positions[stop] in positions[:stop]:
+                continue  # set by its first occurrence, so the read passes it
+            counts.update(positions=0, digests=0)
+            assert not within(reference.mask(positions[:stop]))
+            assert counts == {"positions": stop + 1, "digests": stop // 8 + 1}
+        counts.update(positions=0, digests=0)
+        assert within(reference.mask(positions))
+        assert counts == {"positions": count, "digests": -(-count // 8)}
