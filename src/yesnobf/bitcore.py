@@ -38,6 +38,17 @@ def element_to_bytes(element) -> bytes:
     raise TypeError(f"unsupported element type: {type(element).__name__}")
 
 
+def _encoded_ids(ids) -> list[bytes]:
+    """element_to_bytes of each 64-bit id, in one numpy pass: the tag
+    b"i", then the id's 8 bytes little-endian."""
+    import numpy as np
+
+    records = np.empty((len(ids), 9), np.uint8)
+    records[:, 0] = ord("i")
+    records[:, 1:] = np.array(ids, "<u8").view(np.uint8).reshape(-1, 8)
+    return records.view("V9").ravel().tolist()
+
+
 def derive_seed(*parts) -> int:
     """Fold ints/strings/bytes into a 64-bit seed.
 
@@ -71,9 +82,8 @@ class _ShiftedBits:
 @lru_cache(maxsize=256)
 def _shape(count: int, range_size: int, mode: str) -> tuple:
     """(digest size, bit table, blocks) of a family shape: the one place
-    bitcore decides a hash mode. The sweep's numpy pass,
-    simulate._hash_rows, carries a copy of both position rules, which its
-    tests hold to encoded_mask.
+    bitcore decides a hash mode. mask_rows, below, carries a numpy copy of
+    both position rules, which its tests hold to encoded_mask.
 
     blocks pairs each digest suffix with a reader of that digest's chunks:
     an element's digests are of its encoding + each suffix, and chunk c
@@ -145,8 +155,8 @@ class HashFamily:
     def encoded_mask(self, data: bytes) -> int:
         """element_mask of one element already encoded by element_to_bytes.
 
-        It reads the keyed hasher one digest block at a time, as digests
-        does for a list, and ORs in the position of each chunk.
+        It reads the keyed hasher one digest block at a time, as mask_rows
+        does for lists, and ORs in the position of each chunk.
         """
         hasher = self._hasher
         size = self.range_size
@@ -188,33 +198,6 @@ class HashFamily:
         """
         return sum(map(self.encoded_within, datas, repeat(mask)))
 
-    def digests(self, datas) -> bytes:
-        """The hash streams of a list of elements already encoded by
-        element_to_bytes, end to end as one bytes: the form the sweep's
-        numpy pass, simulate._hash_rows, reads. encoded_mask and
-        encoded_within read the hasher one element at a time; nothing
-        else reads it.
-
-        An element's stream is its blocks' digests in order. Random mode
-        gives blocks 0 .. ceil(count/8)-1 of 64 bytes, the digests of the
-        encoding + the u32 block number; chunk i (little-endian 64-bit) of
-        the stream gives position chunk % range. Double-hashing mode gives
-        the one 16-byte digest of the encoding, chunks h1 and h2; position
-        i is (h1 % range + i * stride) % range, with stride = h2 % range,
-        or 1 where that is 0. A family of count 0 gives each element an
-        empty stream.
-        """
-        hasher = self._hasher
-        suffixes = [suffix for suffix, _ in self._blocks]
-        out = []
-        append = out.append
-        for data in datas:
-            for suffix in suffixes:
-                h = hasher.copy()
-                h.update(data + suffix)
-                append(h.digest())
-        return b"".join(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashFamily):
             return NotImplemented
@@ -223,6 +206,60 @@ class HashFamily:
     def __repr__(self) -> str:
         return (f"HashFamily(count={self.count}, range_size={self.range_size}, "
                 f"mode={self.mode!r}, seed={self.seed})")
+
+
+def mask_rows(walks):
+    """encoded_mask of every element of every (family, datas) walk, in
+    order, as uint8 rows of ceil(range/8) bytes, bit i of a row (byte 0
+    lowest) set for position i.
+
+    The families share count, range_size and mode, and may differ in
+    seed; no walk, or two shapes, raise ValueError. Elements are digested
+    as encoded_mask digests them, and numpy turns the chunks into
+    positions by _shape's rules. numpy is imported only when this runs.
+    """
+    import numpy as np
+
+    walks = list(walks)
+    shapes = {(f.count, f.range_size, f.mode) for f, _ in walks}
+    if len(shapes) != 1:
+        raise ValueError(f"mask_rows needs one family shape, got {sorted(shapes)}")
+    [(count, size, mode)] = shapes
+    width = (size + 7) // 8
+    if not count:
+        return np.zeros((sum(1 for _, datas in walks for _ in datas), width),
+                        np.uint8)
+    digest_size, _, blocks = _shape(count, size, mode)
+    suffixes = [suffix for suffix, _ in blocks]
+    out = []
+    append = out.append
+    for family, datas in walks:
+        hasher = family._hasher
+        for data in datas:
+            for suffix in suffixes:
+                h = hasher.copy()
+                h.update(data + suffix)
+                append(h.digest())
+    chunks = np.frombuffer(b"".join(out), "<u8").reshape(
+        -1, len(blocks) * digest_size // 8)
+    size = np.uint64(size)
+    if mode == MODE_DOUBLE:
+        # chunk i is h1 % size + i * stride, stride = h2 % size or 1, as
+        # _shape's reader gives; each is below count * size
+        stride = chunks[:, 1:] % size
+        stride[stride == 0] = 1
+        chunks = chunks[:, :1] % size + np.arange(count, dtype=np.uint64) * stride
+    positions = chunks[:, :count] % size
+    items = len(positions)
+    rows = np.zeros(items * width, np.uint8)
+    # .at ORs a position repeated within an element once, as the int walk
+    # does
+    np.bitwise_or.at(
+        rows,
+        (positions >> 3).astype(np.intp)
+        + np.arange(0, items * width, width)[:, None],
+        np.left_shift(1, positions & 7).astype(np.uint8))
+    return rows.reshape(items, width)
 
 
 class BloomFilter:

@@ -48,14 +48,19 @@ def _add_geometry_flags(parser, base):
                         help="no-filter hash count")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type refusing ints below low, in an error naming the flag."""
+    bound = "positive" if low == 1 else f">= {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return parse
 
 
 def _parse_range(text: str) -> tuple[int, int, int]:
@@ -175,21 +180,22 @@ def build_parser() -> _Parser:
                                  "and topology experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    positive, nonnegative = _int_at_least(1), _int_at_least(0)
     p_an = sub.add_parser("analyze", help="closed-form probabilities")
-    p_an.add_argument("--m", type=_positive_int, default=256, help="filter bits")
-    p_an.add_argument("--k", type=_positive_int, default=6, help="hash count")
-    p_an.add_argument("--n", type=int, default=30, help="stored elements")
-    p_an.add_argument("--t", type=int, default=100, help="queried non-members")
-    p_an.add_argument("--p", type=_positive_int, default=160,
+    p_an.add_argument("--m", type=positive, default=256, help="filter bits")
+    p_an.add_argument("--k", type=positive, default=6, help="hash count")
+    p_an.add_argument("--n", type=nonnegative, default=30, help="stored elements")
+    p_an.add_argument("--t", type=nonnegative, default=100, help="queried non-members")
+    p_an.add_argument("--p", type=positive, default=160,
                       help="yes-filter bits for the two-stage rows")
-    p_an.add_argument("--q", type=_positive_int, default=32, help="bits per no-filter")
-    p_an.add_argument("--r", type=int, default=3, help="number of no-filters")
-    p_an.add_argument("--k-prime", type=_positive_int, default=5,
+    p_an.add_argument("--q", type=positive, default=32, help="bits per no-filter")
+    p_an.add_argument("--r", type=nonnegative, default=3, help="number of no-filters")
+    p_an.add_argument("--k-prime", type=positive, default=5,
                       help="no-filter hash count")
     p_an.add_argument("--pr-s", type=float, default=0.0, help="membership prior")
     p_an.add_argument("--pr-r", type=float, default=0.0,
                       help="prior of being a recorded false positive")
-    p_an.add_argument("--no-filter-load", type=int, default=None,
+    p_an.add_argument("--no-filter-load", type=nonnegative, default=None,
                       help="elements stored per no-filter (default n)")
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -204,7 +210,7 @@ def build_parser() -> _Parser:
     _add_geometry_flags(p_sw, base)
     p_sw.add_argument("--n", type=int, default=base.n)
     p_sw.add_argument("--t", type=int, default=base.t)
-    p_sw.add_argument("--k-bf", type=_positive_int, default=base.k_bf,
+    p_sw.add_argument("--k-bf", type=positive, default=base.k_bf,
                       help="hash count of the analytic m-length baseline "
                            "(sweeping k or n sets it per point)")
     p_sw.add_argument("--hash-mode", choices=sorted(_HASH_MODES), default="random")
@@ -216,7 +222,7 @@ def build_parser() -> _Parser:
     p_tp.add_argument("files", nargs="+", help="graph files (.graphml or edge list)")
     p_tp.add_argument("--format", choices=["auto", "graphml", "edgelist"],
                       default="auto")
-    p_tp.add_argument("--allocations", type=_positive_int,
+    p_tp.add_argument("--allocations", type=positive,
                       default=topology.DEFAULT_ALLOCATIONS)
     p_tp.add_argument("--seed", type=int, default=0)
     p_tp.add_argument("--path", default=None, metavar="A,B,C",
@@ -224,7 +230,7 @@ def build_parser() -> _Parser:
     p_tp.add_argument("--exclude-reverse", action="store_true",
                       help="drop reverse-path links from the queryable set")
     _add_geometry_flags(p_tp, topology.DEFAULT_PARAMS)
-    p_tp.add_argument("--k-bf", type=_positive_int, default=topology.DEFAULT_K_BF,
+    p_tp.add_argument("--k-bf", type=positive, default=topology.DEFAULT_K_BF,
                       help="hash count of the classic-BF comparison structure")
     p_tp.add_argument("--output", default=None, metavar="FILE",
                       help="per-topology CSV (default stdout)")

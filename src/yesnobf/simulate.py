@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import compress, islice, repeat
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
-from .bitcore import _MODES, MODE_DOUBLE, MODE_RANDOM, derive_seed
+from .bitcore import _MODES, MODE_RANDOM, _encoded_ids, derive_seed, mask_rows
 from .yesno import (
     Classification,
     ConstructionReport,
@@ -40,10 +40,8 @@ SWEPT_CHOICES = ("k", "k_prime", "n", "q", "r_fixed_p", "r_fixed_m")
 CSV_HEADER = ("swept", "value", "mean_fp", "std_fp", "min", "q25", "median",
               "q75", "max", "baseline_bf_m", "baseline_bf_p")
 
-_UNIVERSE = 1 << 64
-
 # Trials sketched in one batched pass. The pass holds its trials' ids,
-# digests, mask rows and sketches at once, ~85 KB a trial at the default
+# hash streams, mask rows and sketches at once, ~85 KB a trial at the default
 # geometry, so this bounds a point's memory whatever its trial count.
 # 16 trials already spread numpy's per-call cost over ~2,000 elements; at
 # 128 a sweep's peak RSS rose by a third.
@@ -68,39 +66,6 @@ def draw_elements(trial_seed: int, n: int, t: int) -> tuple[list[int], list[int]
     return drawn[:n], drawn[n:]
 
 
-def _hash_rows(stream: bytes, items: int, count: int, size: int, mode: str):
-    """The masks of items elements as uint8 rows of ceil(size/8) bytes,
-    bit i of a row (byte 0 lowest) set for position i.
-
-    stream is what HashFamily.digests gives for the elements, or several
-    such lists joined end to end, for a family of this count, range size
-    and mode; the rows are the masks HashFamily.encoded_mask gives the
-    same elements.
-    """
-    import numpy as np
-
-    width = (size + 7) // 8
-    rows = np.zeros(items * width, np.uint8)
-    if count and items:
-        chunks = np.frombuffer(stream, "<u8").reshape(items, -1)
-        size = np.uint64(size)
-        if mode == MODE_DOUBLE:
-            # chunk i is h1 % size + i * stride, stride = h2 % size or 1,
-            # as HashFamily's reader gives; each is below count * size
-            stride = chunks[:, 1:] % size
-            stride[stride == 0] = 1
-            chunks = chunks[:, :1] % size + np.arange(count, dtype=np.uint64) * stride
-        positions = chunks[:, :count] % size
-        # .at ORs a position repeated within an element once, as the int
-        # walk does
-        np.bitwise_or.at(
-            rows,
-            (positions >> 3).astype(np.intp)
-            + np.arange(0, items * width, width)[:, None],
-            np.left_shift(1, positions & 7).astype(np.uint8))
-    return rows.reshape(items, width)
-
-
 def _row_ints(rows) -> list[int]:
     """Each uint8 row, byte 0 lowest, as the int it holds."""
     # a bytes-string view drops a row's trailing zero bytes, which are its
@@ -110,17 +75,6 @@ def _row_ints(rows) -> list[int]:
                     repeat("little")))
 
 
-def _encoded_ids(ids) -> list[bytes]:
-    """element_to_bytes of each 64-bit id, in one numpy pass: the tag
-    b"i", then the id's 8 bytes little-endian."""
-    import numpy as np
-
-    records = np.empty((len(ids), 9), np.uint8)
-    records[:, 0] = ord("i")
-    records[:, 1:] = np.array(ids, "<u8").view(np.uint8).reshape(-1, 8)
-    return records.view("V9").ravel().tolist()
-
-
 def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
                     mode: str):
     """Yield the (report, classification) of the trial at each seed, in
@@ -128,15 +82,14 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
 
     The trials pass in chunks of _CHUNK_TRIALS. Each trial draws its ids,
     distinct by construction, so nothing re-checks them as
-    YesNoFilter.build does, and its yes family walks all of them with one
-    HashFamily.digests call, which gives their streams as one bytes. numpy
-    reduces the chunk's streams, joined once, to yes masks, ORs each
-    trial's members into its yes mask and picks out the yes-stage hits;
-    each trial's no family walks only its hits, reduced the same way.
-    Every trial then builds and classifies through build_from_sketches and
-    classify_sketches with the sketches Sketcher._sketch_sets gives, so
-    the outcomes are those of YesNoFilter.build, then classify, of the
-    same two sets.
+    YesNoFilter.build does. One bitcore.mask_rows call gives the chunk's
+    yes parts, each trial's yes family walking all its ids. numpy ORs each
+    trial's members into its yes mask and picks out the yes-stage hits,
+    and a second mask_rows call gives the hits' no parts, each trial's no
+    family walking only its hits. Every trial then builds and classifies
+    through build_from_sketches and classify_sketches with the sketches
+    Sketcher._sketch_sets gives, so the outcomes are those of
+    YesNoFilter.build, then classify, of the same two sets.
     """
     import numpy as np
 
@@ -148,20 +101,16 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
                                 for e in members + candidates])
         datas = [encoded[i * items:(i + 1) * items] for i in range(len(seeds))]
         sketchers = [Sketcher(params, trial_seed, mode) for trial_seed in seeds]
-        rows = _hash_rows(
-            b"".join([sk.yes_family.digests(d)
-                      for sk, d in zip(sketchers, datas)]),
-            len(seeds) * items, params.k, params.p, mode)
+        rows = mask_rows((sk.yes_family, d) for sk, d in zip(sketchers, datas))
         yes_parts = _row_ints(rows)
         if params.r:
             rows = rows.reshape(len(seeds), items, rows.shape[1])
             yes_masks = np.bitwise_or.reduce(rows[:, :n], axis=1)
             hit_rows = ~(rows & ~yes_masks[:, None]).any(axis=2)
             hits = hit_rows.tolist()
-            no_parts = iter(_row_ints(_hash_rows(
-                b"".join([sk.no_family.digests(compress(d, h))
-                          for sk, d, h in zip(sketchers, datas, hits)]),
-                int(hit_rows.sum()), params.k_prime, params.q, mode)))
+            no_parts = iter(_row_ints(mask_rows(
+                (sk.no_family, compress(d, h))
+                for sk, d, h in zip(sketchers, datas, hits))))
         for i, (trial_seed, (members, candidates)) in enumerate(zip(seeds, drawn)):
             trial_yes = yes_parts[i * items:(i + 1) * items]
             if params.r:

@@ -197,14 +197,14 @@ class YesNoFilter:
     filters, each an int mask with bit i for position i. The constructor
     raises ValueError on a mask that is negative or wider than p or q, a
     no-filter count other than r, or an unknown hash mode, so
-    build_from_sketches and from_bitstring refuse one too.
+    build_from_sketches and from_bitstring refuse one too. Masks do not
+    record the seed and mode they were hashed with, so both are required.
     """
 
     __slots__ = ("params", "seed", "mode", "yes_filter", "no_filters", "_sketcher")
 
     def __init__(self, params: YesNoParams, yes_filter: int,
-                 no_filters: list[int], seed: int = 0,
-                 mode: str = MODE_RANDOM):
+                 no_filters: list[int], *, seed: int, mode: str):
         if yes_filter < 0 or yes_filter >> params.p:
             raise ValueError("yes_filter does not fit in params.p bits")
         if len(no_filters) != params.r:

@@ -16,6 +16,7 @@ from yesnobf.bitcore import (
     _shape,
     derive_seed,
     element_to_bytes,
+    mask_rows,
 )
 
 import reference
@@ -56,7 +57,27 @@ def test_hash_family_zero_count_yields_no_positions():
         fam = HashFamily(0, 32, mode=mode, seed=1)
         assert reference.positions(0, 32, 1, "x", mode) == []
         assert fam.element_mask("x") == 0
-        assert fam.digests([element_to_bytes("x"), b""]) == b""
+        assert mask_rows([(fam, [element_to_bytes("x"), b""])]).tolist() == \
+               [[0] * 4] * 2
+
+
+@pytest.mark.parametrize("other", [
+    HashFamily(5, 32, seed=1),
+    HashFamily(4, 33, seed=1),
+    HashFamily(4, 32, mode=MODE_DOUBLE, seed=1),
+], ids=["count", "range", "mode"])
+def test_mask_rows_takes_one_family_shape(other):
+    """Walks may differ in seed, but not in count, range or mode."""
+    fam = HashFamily(4, 32, seed=1)
+    reseeded = HashFamily(4, 32, seed=2)
+    rows = mask_rows([(fam, [b"x"]), (reseeded, [b"x", b"y"])])
+    assert [int.from_bytes(row.tobytes(), "little") for row in rows] == \
+           [fam.encoded_mask(b"x"), reseeded.encoded_mask(b"x"),
+            reseeded.encoded_mask(b"y")]
+    with pytest.raises(ValueError, match="one family shape"):
+        mask_rows([(fam, [b"x"]), (other, [b"y"])])
+    with pytest.raises(ValueError, match="one family shape"):
+        mask_rows([])
 
 
 def test_hash_family_seed_and_shape_change_stream():

@@ -98,6 +98,16 @@ def test_analyze_names_the_zero_flag(capsys, flag):
         f"yesnobf analyze: error: argument {flag}: must be positive, got 0")
 
 
+@pytest.mark.parametrize("flag", ["--n", "--t", "--r", "--no-filter-load"])
+def test_analyze_names_a_negative_count_flag(capsys, flag):
+    code, out, err = run_cli(capsys, "analyze", flag, "-1")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"yesnobf analyze: error: argument {flag}: must be >= 0, got -1")
+    assert run_cli(capsys, "analyze", flag, "0")[0] == 0
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys)[0] == 1
     assert run_cli(capsys, "frobnicate")[0] == 1

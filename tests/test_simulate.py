@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import types
+from hashlib import blake2b
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,10 @@ from yesnobf.bitcore import (
     MODE_RANDOM,
     BloomFilter,
     HashFamily,
+    _encoded_ids,
     derive_seed,
     element_to_bytes,
+    mask_rows,
 )
 from yesnobf.simulate import (
     CSV_HEADER,
@@ -135,6 +138,24 @@ def test_zero_no_filters_trial_replays_as_classic_bloom():
         assert trial_outcome(params, 12, 80, trial_seed)[1].fp_count == expected
 
 
+class _KeepsDigests:
+    """A family's keyed hasher whose copies keep every digest they give."""
+
+    def __init__(self, hasher, kept):
+        self.hasher = hasher
+        self.kept = kept
+
+    def copy(self):
+        return _KeepsDigests(self.hasher.copy(), self.kept)
+
+    def update(self, data):
+        self.hasher.update(data)
+
+    def digest(self):
+        self.kept.append(self.hasher.digest())
+        return self.kept[-1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(count=st.integers(0, 20), size=st.integers(1, 300),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
@@ -149,10 +170,11 @@ def test_zero_no_filters_trial_replays_as_classic_bloom():
 def test_numpy_reduction_is_encoded_masks(count, size, mode, seed, batch):
     fam = HashFamily(count, size, mode=mode, seed=seed)
     datas = [element_to_bytes(e) for e in batch]
-    stream = fam.digests(datas)
+    stream = []
+    fam._hasher = _KeepsDigests(fam._hasher, stream)
+    rows = mask_rows([(fam, datas)])
     per_element = 64 * -(-count // 8) if mode == MODE_RANDOM else 16 * (count > 0)
-    assert len(stream) == per_element * len(datas)
-    rows = simulate._hash_rows(stream, len(datas), count, size, mode)
+    assert len(b"".join(stream)) == per_element * len(datas)
     assert rows.shape == (len(datas), (size + 7) // 8)
     assert simulate._row_ints(rows) == [fam.encoded_mask(d) for d in datas]
 
@@ -160,18 +182,19 @@ def test_numpy_reduction_is_encoded_masks(count, size, mode, seed, batch):
 def test_numpy_reduction_steps_by_one_where_h2_divides_the_size():
     fam = HashFamily(6, 12, mode=MODE_DOUBLE, seed=0)
     datas = [element_to_bytes(i) for i in range(100)]
-    stream = fam.digests(datas)
-    assert len(stream) == 16 * len(datas)
-    h2s = struct.unpack(f"<{2 * len(datas)}Q", stream)[1::2]
+    # h2 is the second half of the README's double-mode digest
+    key = struct.pack("<QQQB", 0, 6, 12, 1)
+    h2s = [int.from_bytes(blake2b(d, key=key, digest_size=16).digest()[8:],
+                          "little") for d in datas]
     assert any(h2 % 12 == 0 for h2 in h2s)
-    rows = simulate._hash_rows(stream, len(datas), 6, 12, MODE_DOUBLE)
+    rows = mask_rows([(fam, datas)])
     assert simulate._row_ints(rows) == [fam.encoded_mask(d) for d in datas]
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
 @example([0, 1, 2**63, 2**64 - 1])
 def test_encoded_ids_are_element_to_bytes(values):
-    assert simulate._encoded_ids(values) == [element_to_bytes(e) for e in values]
+    assert _encoded_ids(values) == [element_to_bytes(e) for e in values]
 
 
 # (p, q, r, k, k'): k' may be 0 only without no-filters

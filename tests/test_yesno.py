@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from yesnobf import bitcore, simulate
 from yesnobf.bitcore import (
     MODE_DOUBLE,
     MODE_RANDOM,
@@ -323,17 +324,31 @@ def test_serialization_round_trip():
 def test_constructor_validates_part_lengths():
     params = YesNoParams.of(p=8, q=4, r=2, k=2, k_prime=2)
     full_yes, full_no = (1 << 8) - 1, (1 << 4) - 1
-    YesNoFilter(params, full_yes, [full_no, full_no])  # widest masks that fit
+    hashing = dict(seed=0, mode=MODE_RANDOM)
+    # widest masks that fit
+    YesNoFilter(params, full_yes, [full_no, full_no], **hashing)
     with pytest.raises(ValueError):
-        YesNoFilter(params, 1 << 8, [0, 0])
+        YesNoFilter(params, 1 << 8, [0, 0], **hashing)
     with pytest.raises(ValueError):
-        YesNoFilter(params, -1, [0, 0])
+        YesNoFilter(params, -1, [0, 0], **hashing)
     with pytest.raises(ValueError):
-        YesNoFilter(params, 0, [0])
+        YesNoFilter(params, 0, [0], **hashing)
     with pytest.raises(ValueError):
-        YesNoFilter(params, 0, [0, 1 << 4])
+        YesNoFilter(params, 0, [0, 1 << 4], **hashing)
     with pytest.raises(ValueError, match="unknown mode"):
-        YesNoFilter(params, 0, [0, 0], mode="bogus")
+        YesNoFilter(params, 0, [0, 0], seed=0, mode="bogus")
+
+
+def test_constructor_needs_the_seed_and_mode_by_keyword():
+    """Masks do not hold their hashing, so a filter made from masks, as a
+    loaded or tampered one is, names both rather than defaulting."""
+    params = YesNoParams.of(p=8, q=4, r=2, k=2, k_prime=2)
+    for hashing in ({}, {"seed": 3}, {"mode": MODE_RANDOM}):
+        with pytest.raises(TypeError):
+            YesNoFilter(params, 0, [0, 0], **hashing)
+    with pytest.raises(TypeError):
+        YesNoFilter(params, 0, [0, 0], 3, MODE_RANDOM)
+    assert YesNoFilter(params, 0, [0, 0], seed=3, mode=MODE_DOUBLE).mode == MODE_DOUBLE
 
 
 @pytest.mark.parametrize("bad", ["_", " ", "+", "2"])
@@ -488,7 +503,8 @@ def test_classify_obeys_an_overriding_query_sketch():
     members = [f"name-{i}" for i in range(12)]
     candidates = [f"probe-{i}" for i in range(60)]
     filt, _ = YesNoFilter.build(params, members, candidates, seed=3)
-    stub = SaysNoTo(params, filt.yes_filter, filt.no_filters, seed=3)
+    stub = SaysNoTo(params, filt.yes_filter, filt.no_filters, seed=3,
+                    mode=MODE_RANDOM)
     stub.refused = Sketcher(params, seed=3).sketch(members[0])
     assert filt.classify(members, candidates).false_negatives == []
     assert stub.classify(members, candidates).false_negatives == [members[0]]
@@ -508,7 +524,8 @@ def test_classify_obeys_an_overriding_query_sketch():
     full = [sk.sketch(e) for e in probes]
     expected = [(y, None if y & yes_mask != y else no) for y, no in full]
     assert 0 < sum(no is None for _, no in expected) < len(probes) - len(members)
-    recorder = Records(params, filt.yes_filter, filt.no_filters, seed=3)
+    recorder = Records(params, filt.yes_filter, filt.no_filters, seed=3,
+                       mode=MODE_RANDOM)
     recorder.shown = []
     recorder.classify(members, candidates)
     assert recorder.shown == expected
@@ -630,19 +647,20 @@ def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
 def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
                                                                 monkeypatch):
-    """Each walk's elements pass exactly once through HashFamily.digests,
+    """Each walk's elements pass exactly once through bitcore.mask_rows,
     the list reader, or through a one-element reader, HashFamily.encoded_mask
     or encoded_within, so a walk that reads the keyed hasher some other way,
     or through two readers, fails here."""
     seen = []
-    read_list = HashFamily.digests
+    read_list = bitcore.mask_rows
     read_one = HashFamily.encoded_mask
     test_one = HashFamily.encoded_within
 
-    def recording_list(family, datas):
-        datas = list(datas)
-        seen.extend((family.count, family.range_size, d) for d in datas)
-        return read_list(family, datas)
+    def recording_list(walks):
+        walks = [(family, list(datas)) for family, datas in walks]
+        for family, datas in walks:
+            seen.extend((family.count, family.range_size, d) for d in datas)
+        return read_list(walks)
 
     def recording_one(family, data):
         seen.append((family.count, family.range_size, data))
@@ -652,7 +670,8 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
         seen.append((family.count, family.range_size, data))
         return test_one(family, data, mask)
 
-    monkeypatch.setattr(HashFamily, "digests", recording_list)
+    for module in (bitcore, simulate):
+        monkeypatch.setattr(module, "mask_rows", recording_list)
     monkeypatch.setattr(HashFamily, "encoded_mask", recording_one)
     monkeypatch.setattr(HashFamily, "encoded_within", recording_test)
 
@@ -695,6 +714,16 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
     links = [element_to_bytes(link.id) for link in exp.s_links + exp.t_links]
     baseline = [(exp.k_bf, params.m, d) for d in links]
     assert walked((exp.k_bf, params.m)) == baseline * exp.allocations
+
+    # a trial's yes family walks every id, its no family the yes-stage hits
+    got = simulate.trial_outcome(params, 12, 200, 3, mode)[1]
+    members, candidates = simulate.draw_elements(3, 12, 200)
+    misses = set(got.yes_stage_negatives)
+    assert walked() == (
+        [(*yes, element_to_bytes(e)) for e in members + candidates]
+        + [(*no, element_to_bytes(e)) for e in members + candidates
+           if e not in misses])
+    assert 0 < len(misses) < len(candidates)
 
 
 class _CountingBits:
