@@ -83,7 +83,7 @@ class _ShiftedBits:
 def _shape(count: int, range_size: int, mode: str) -> tuple:
     """(digest size, bit table, blocks) of a family shape: the one place
     bitcore decides a hash mode. mask_rows, below, carries a numpy copy of
-    both position rules, which its tests hold to encoded_mask.
+    both position rules, and its tests hold its ints to encoded_mask's.
 
     blocks pairs each digest suffix with a reader of that digest's chunks:
     an element's digests are of its encoding + each suffix, and chunk c
@@ -208,15 +208,14 @@ class HashFamily:
                 f"mode={self.mode!r}, seed={self.seed})")
 
 
-def mask_rows(walks):
-    """encoded_mask of every element of every (family, datas) walk, in
-    order, as uint8 rows of ceil(range/8) bytes, bit i of a row (byte 0
-    lowest) set for position i.
+def mask_rows(walks) -> list[int]:
+    """encoded_mask of each element of every (family, datas) walk, in order.
 
     The families share count, range_size and mode, and may differ in
     seed; no walk, or two shapes, raise ValueError. Elements are digested
     as encoded_mask digests them, and numpy turns the chunks into
-    positions by _shape's rules. numpy is imported only when this runs.
+    positions by _shape's rules and ORs them into a uint8 row per element,
+    byte 0 lowest. numpy is imported only when this runs.
     """
     import numpy as np
 
@@ -225,10 +224,8 @@ def mask_rows(walks):
     if len(shapes) != 1:
         raise ValueError(f"mask_rows needs one family shape, got {sorted(shapes)}")
     [(count, size, mode)] = shapes
-    width = (size + 7) // 8
     if not count:
-        return np.zeros((sum(1 for _, datas in walks for _ in datas), width),
-                        np.uint8)
+        return [0] * sum(1 for _, datas in walks for _ in datas)
     digest_size, _, blocks = _shape(count, size, mode)
     suffixes = [suffix for suffix, _ in blocks]
     out = []
@@ -242,6 +239,7 @@ def mask_rows(walks):
                 append(h.digest())
     chunks = np.frombuffer(b"".join(out), "<u8").reshape(
         -1, len(blocks) * digest_size // 8)
+    width = (size + 7) // 8
     size = np.uint64(size)
     if mode == MODE_DOUBLE:
         # chunk i is h1 % size + i * stride, stride = h2 % size or 1, as
@@ -259,7 +257,10 @@ def mask_rows(walks):
         (positions >> 3).astype(np.intp)
         + np.arange(0, items * width, width)[:, None],
         np.left_shift(1, positions & 7).astype(np.uint8))
-    return rows.reshape(items, width)
+    # a bytes-string view drops a row's trailing zero bytes, which are its
+    # high zeros, so each value is unchanged
+    return list(map(int.from_bytes, rows.view(f"S{width}").tolist(),
+                    repeat("little")))
 
 
 class BloomFilter:

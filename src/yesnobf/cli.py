@@ -73,9 +73,10 @@ def _parse_range(text: str) -> tuple[int, int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"range parts must be integers, got {text!r}") from None
-    if len(numbers) == 2:
-        numbers.append(1)
-    return numbers[0], numbers[1], numbers[2]
+    start, stop, step = numbers if len(numbers) == 3 else (*numbers, 1)
+    if step < 1:
+        raise argparse.ArgumentTypeError(f"step must be >= 1, got {step}")
+    return start, stop, step
 
 
 def _cmd_analyze(args) -> int:
@@ -112,7 +113,10 @@ def _cmd_sweep(args) -> int:
         k_prime=args.k_prime, n=args.n, t=args.t, trials=args.trials,
         seed=args.seed, k_bf=args.k_bf, mode=_HASH_MODES[args.hash_mode],
         allow_false_negatives=args.allow_false_negatives)
-    _write_output(simulate.sweep(config).to_csv(), args.output)
+    result = simulate.sweep(config)
+    if all(pt.error is not None for pt in result.points):
+        raise ValueError(result.points[0].error)
+    _write_output(result.to_csv(), args.output)
     return 0
 
 
@@ -205,11 +209,11 @@ def build_parser() -> _Parser:
     p_sw.add_argument("--var", required=True, choices=simulate.SWEPT_CHOICES)
     p_sw.add_argument("--range", required=True, type=_parse_range,
                       metavar="LO:HI[:STEP]", help="inclusive integer range")
-    p_sw.add_argument("--trials", type=int, default=base.trials)
+    p_sw.add_argument("--trials", type=positive, default=base.trials)
     p_sw.add_argument("--seed", type=int, default=base.seed)
     _add_geometry_flags(p_sw, base)
-    p_sw.add_argument("--n", type=int, default=base.n)
-    p_sw.add_argument("--t", type=int, default=base.t)
+    p_sw.add_argument("--n", type=nonnegative, default=base.n)
+    p_sw.add_argument("--t", type=nonnegative, default=base.t)
     p_sw.add_argument("--k-bf", type=positive, default=base.k_bf,
                       help="hash count of the analytic m-length baseline "
                            "(sweeping k or n sets it per point)")

@@ -21,7 +21,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
 from .bitcore import _MODES, MODE_RANDOM, _encoded_ids, derive_seed, mask_rows
@@ -31,6 +31,8 @@ from .yesno import (
     Sketcher,
     YesNoFilter,
     YesNoParams,
+    _no_part_reads,
+    _paired,
 )
 
 # The names a sweep can vary: SweepConfig.swept and `sweep --var` take
@@ -66,15 +68,6 @@ def draw_elements(trial_seed: int, n: int, t: int) -> tuple[list[int], list[int]
     return drawn[:n], drawn[n:]
 
 
-def _row_ints(rows) -> list[int]:
-    """Each uint8 row, byte 0 lowest, as the int it holds."""
-    # a bytes-string view drops a row's trailing zero bytes, which are its
-    # high zeros, so each value is unchanged
-    width = rows.shape[-1]
-    return list(map(int.from_bytes, rows.view(f"S{width}").ravel().tolist(),
-                    repeat("little")))
-
-
 def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
                     mode: str):
     """Yield the (report, classification) of the trial at each seed, in
@@ -83,16 +76,14 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
     The trials pass in chunks of _CHUNK_TRIALS. Each trial draws its ids,
     distinct by construction, so nothing re-checks them as
     YesNoFilter.build does. One bitcore.mask_rows call gives the chunk's
-    yes parts, each trial's yes family walking all its ids. numpy ORs each
-    trial's members into its yes mask and picks out the yes-stage hits,
-    and a second mask_rows call gives the hits' no parts, each trial's no
-    family walking only its hits. Every trial then builds and classifies
+    yes parts, each trial's yes family walking all its ids. Each trial's
+    no-part reads follow Sketcher._sketch_sets' rule, and a second
+    mask_rows call gives the read no parts, each trial's no family
+    walking only those ids. Every trial then builds and classifies
     through build_from_sketches and classify_sketches with the sketches
     Sketcher._sketch_sets gives, so the outcomes are those of
     YesNoFilter.build, then classify, of the same two sets.
     """
-    import numpy as np
-
     items = n + t
     trial_seeds = iter(trial_seeds)
     while seeds := list(islice(trial_seeds, _CHUNK_TRIALS)):
@@ -101,23 +92,14 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
                                 for e in members + candidates])
         datas = [encoded[i * items:(i + 1) * items] for i in range(len(seeds))]
         sketchers = [Sketcher(params, trial_seed, mode) for trial_seed in seeds]
-        rows = mask_rows((sk.yes_family, d) for sk, d in zip(sketchers, datas))
-        yes_parts = _row_ints(rows)
-        if params.r:
-            rows = rows.reshape(len(seeds), items, rows.shape[1])
-            yes_masks = np.bitwise_or.reduce(rows[:, :n], axis=1)
-            hit_rows = ~(rows & ~yes_masks[:, None]).any(axis=2)
-            hits = hit_rows.tolist()
-            no_parts = iter(_row_ints(mask_rows(
-                (sk.no_family, compress(d, h))
-                for sk, d, h in zip(sketchers, datas, hits))))
-        for i, (trial_seed, (members, candidates)) in enumerate(zip(seeds, drawn)):
-            trial_yes = yes_parts[i * items:(i + 1) * items]
-            if params.r:
-                sketches = [(y, next(no_parts)) if hit else (y, None)
-                            for y, hit in zip(trial_yes, hits[i])]
-            else:
-                sketches = list(zip(trial_yes, repeat(None)))
+        masks = mask_rows((sk.yes_family, d) for sk, d in zip(sketchers, datas))
+        yes_parts = [masks[i * items:(i + 1) * items] for i in range(len(seeds))]
+        reads = [_no_part_reads(params.r, y, n) for y in yes_parts]
+        no_parts = iter(mask_rows((sk.no_family, compress(d, h))
+                                  for sk, d, h in zip(sketchers, datas, reads)))
+        for trial_seed, (members, candidates), trial_yes, trial_reads in zip(
+                seeds, drawn, yes_parts, reads):
+            sketches = _paired(trial_yes, trial_reads, no_parts)
             member_sketches, candidate_sketches = sketches[:n], sketches[n:]
             built, report = YesNoFilter.build_from_sketches(
                 params, member_sketches, candidate_sketches,
@@ -280,8 +262,8 @@ def _comparison_hashes(config: SweepConfig, params: YesNoParams, value: int,
 
 def sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep; geometry errors become per-point error entries."""
-    # numpy is confined to sweeps (the statistics here, the batched pass in
-    # _trial_outcomes): importing it costs ~12 MB, which building and
+    # numpy is confined to sweeps (the statistics here, the mask_rows pass
+    # in _trial_outcomes): importing it costs ~12 MB, which building and
     # querying filters, topology experiments included, never pay
     import numpy as np
 

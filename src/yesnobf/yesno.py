@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 from .bitcore import _MODES, MODE_RANDOM, HashFamily, element_to_bytes
 
@@ -97,26 +100,34 @@ class Sketcher:
     def _sketch_sets(self, member_datas, candidate_datas, yes_mask=None
                      ) -> tuple[list[ElementSketch], list[ElementSketch]]:
         """Sketches of two lists of element_to_bytes encodings as a query
-        reads them, the yes stage first.
-
-        The yes family walks every element. The no family walks only the
-        elements whose yes part passes yes_mask (by default the OR of the
-        members' yes parts, the mask a build lays down), and none when
-        there are no no-filters: no query reads the no part of a yes-stage
-        negative. Elements it does not walk get None as no part.
-        """
+        reads them: every yes part, and the no parts _no_part_reads picks,
+        with None elsewhere."""
         datas = [*member_datas, *candidate_datas]
         yes_parts = list(map(self.yes_family.encoded_mask, datas))
         n = len(member_datas)
-        if yes_mask is None:
-            yes_mask = 0
-            for y in yes_parts[:n]:
-                yes_mask |= y
-        r = self.params.r
-        no_part = self.no_family.encoded_mask
-        sketches = [(y, no_part(d) if r and y & yes_mask == y else None)
-                    for y, d in zip(yes_parts, datas)]
+        reads = _no_part_reads(self.params.r, yes_parts, n, yes_mask)
+        sketches = _paired(yes_parts, reads, map(self.no_family.encoded_mask,
+                                                 compress(datas, reads)))
         return sketches[:n], sketches[n:]
+
+
+def _no_part_reads(r: int, yes_parts, n: int, yes_mask=None) -> list[bool]:
+    """Whether a query reads each element's no part: only with r > 0
+    no-filters, and only where its yes part lies inside yes_mask, by
+    default the OR of the first n (the members') yes parts, the mask a
+    build lays down. No query reads the no part of a yes-stage negative."""
+    if not r:
+        return [False] * len(yes_parts)
+    if yes_mask is None:
+        yes_mask = reduce(or_, yes_parts[:n], 0)
+    return [y & yes_mask == y for y in yes_parts]
+
+
+def _paired(yes_parts, reads, no_parts) -> list[ElementSketch]:
+    """Each yes part with the next no part of the iterator no_parts where
+    reads holds, else with None."""
+    return [(y, next(no_parts) if read else None)
+            for y, read in zip(yes_parts, reads)]
 
 
 class QueryResult(enum.Enum):

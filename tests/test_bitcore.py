@@ -57,8 +57,7 @@ def test_hash_family_zero_count_yields_no_positions():
         fam = HashFamily(0, 32, mode=mode, seed=1)
         assert reference.positions(0, 32, 1, "x", mode) == []
         assert fam.element_mask("x") == 0
-        assert mask_rows([(fam, [element_to_bytes("x"), b""])]).tolist() == \
-               [[0] * 4] * 2
+        assert mask_rows([(fam, [element_to_bytes("x"), b""])]) == [0, 0]
 
 
 @pytest.mark.parametrize("other", [
@@ -70,8 +69,7 @@ def test_mask_rows_takes_one_family_shape(other):
     """Walks may differ in seed, but not in count, range or mode."""
     fam = HashFamily(4, 32, seed=1)
     reseeded = HashFamily(4, 32, seed=2)
-    rows = mask_rows([(fam, [b"x"]), (reseeded, [b"x", b"y"])])
-    assert [int.from_bytes(row.tobytes(), "little") for row in rows] == \
+    assert mask_rows([(fam, [b"x"]), (reseeded, [b"x", b"y"])]) == \
            [fam.encoded_mask(b"x"), reseeded.encoded_mask(b"x"),
             reseeded.encoded_mask(b"y")]
     with pytest.raises(ValueError, match="one family shape"):

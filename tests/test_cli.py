@@ -325,6 +325,39 @@ def test_sweep_names_a_non_positive_k_bf(capsys):
         "yesnobf sweep: error: argument --k-bf: must be positive, got 0")
 
 
+@pytest.mark.parametrize("flag, low", [("--trials", 1), ("--n", 0), ("--t", 0)])
+def test_sweep_names_a_count_flag_below_its_bound(capsys, flag, low):
+    bound = "positive" if low else ">= 0"
+    code, out, err = run_cli(capsys, *_sweep_args(flag, str(low - 1)))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"yesnobf sweep: error: argument {flag}: must be {bound}, got {low - 1}")
+    assert run_cli(capsys, *_sweep_args(flag, str(low)))[0] == 0
+
+
+@pytest.mark.parametrize("step", ["0", "-2"])
+def test_sweep_names_the_range_for_a_step_below_one(capsys, step):
+    code, out, err = run_cli(capsys, "sweep", "--var", "k",
+                             "--range", f"2:4:{step}", "--trials", "5")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"yesnobf sweep: error: argument --range: step must be >= 1, got {step}")
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--q", "q must be positive, got 0"),
+    ("--k-prime", "k_prime must be >= 1 when there are no-filters"),
+])
+def test_sweep_fails_when_no_point_can_run(capsys, flag, message):
+    code, out, err = run_cli(capsys, "sweep", "--var", "k", "--range", "1:2",
+                             "--trials", "5", flag, "0")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"yesnobf: error: {message}"
+
+
 def test_readme_sweep_example_prints_its_csv(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n$ yesnobf sweep ", 1)[1].split("\n```", 1)[0]

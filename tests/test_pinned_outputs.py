@@ -2,12 +2,14 @@
 of serialized filters.
 
 The CSV digests were taken from the code as it stood before the trial
-kernel was shared, the saturated-build digest from the plain first-fit
-loop before refused no-bits were cached, and the bit-string digests from
-the filter as it stood when its parts were bit-vector objects. So any
-change to hashing, construction, classification, CSV formatting or the
-bit-string layout shows here. A change that alters these outputs on
-purpose updates the digest and says why in CHANGES.md.
+kernel was shared, the guard-off sweep's before the batched pass took
+its no-part rule from Sketcher, the saturated-build digest from the
+plain first-fit loop before refused no-bits were cached, and the
+bit-string digests from the filter as it stood when its parts were
+bit-vector objects. So any change to hashing, construction,
+classification, CSV formatting or the bit-string layout shows here. A
+change that alters these outputs on purpose updates the digest and says
+why in CHANGES.md.
 """
 
 import hashlib
@@ -39,6 +41,13 @@ SWEEP_DIGESTS = {
         "d85ed0162b4f29c8efbbe14063cb72dfa5aa84786ef1bd8ee88ba3e11403f8d4",
     ("k_prime", MODE_DOUBLE):
         "e93e14c52d1451150c21548a2a0470da535217d7a2c138e46c20b23269f1debe",
+}
+
+# sweep q 8..48 step 8 with the member guard off, so the CSV carries the
+# mean_fn column
+GUARD_OFF_DIGESTS = {
+    MODE_RANDOM: "555422f7ecc3f510784bee822786b913dc31418ab2c0bca624409506bf45ea15",
+    MODE_DOUBLE: "26f1991342c10133509d6ea05c09d0428ff7bfbce57de0473cae0ac4d93c65d9",
 }
 
 TOPOLOGY_DIGESTS = {
@@ -80,6 +89,15 @@ def test_sweep_csv_is_pinned(swept, mode):
     start, stop = SWEEP_RANGES[swept]
     config = SweepConfig(swept, start, stop, trials=20, seed=11, mode=mode)
     assert _digest(sweep(config).to_csv()) == SWEEP_DIGESTS[swept, mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GUARD_OFF_DIGESTS))
+def test_guard_off_sweep_csv_is_pinned(mode):
+    config = SweepConfig("q", 8, 48, step=8, trials=20, seed=11, mode=mode,
+                         allow_false_negatives=True)
+    text = sweep(config).to_csv()
+    assert text.partition("\n")[0].endswith(",mean_fn")
+    assert _digest(text) == GUARD_OFF_DIGESTS[mode]
 
 
 @pytest.mark.parametrize("mode", sorted(TOPOLOGY_DIGESTS))

@@ -172,11 +172,10 @@ def test_numpy_reduction_is_encoded_masks(count, size, mode, seed, batch):
     datas = [element_to_bytes(e) for e in batch]
     stream = []
     fam._hasher = _KeepsDigests(fam._hasher, stream)
-    rows = mask_rows([(fam, datas)])
+    masks = mask_rows([(fam, datas)])
     per_element = 64 * -(-count // 8) if mode == MODE_RANDOM else 16 * (count > 0)
     assert len(b"".join(stream)) == per_element * len(datas)
-    assert rows.shape == (len(datas), (size + 7) // 8)
-    assert simulate._row_ints(rows) == [fam.encoded_mask(d) for d in datas]
+    assert masks == [fam.encoded_mask(d) for d in datas]
 
 
 def test_numpy_reduction_steps_by_one_where_h2_divides_the_size():
@@ -187,8 +186,7 @@ def test_numpy_reduction_steps_by_one_where_h2_divides_the_size():
     h2s = [int.from_bytes(blake2b(d, key=key, digest_size=16).digest()[8:],
                           "little") for d in datas]
     assert any(h2 % 12 == 0 for h2 in h2s)
-    rows = mask_rows([(fam, datas)])
-    assert simulate._row_ints(rows) == [fam.encoded_mask(d) for d in datas]
+    assert mask_rows([(fam, datas)]) == [fam.encoded_mask(d) for d in datas]
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))

@@ -12,6 +12,7 @@ from yesnobf.bitcore import (
     MODE_RANDOM,
     BloomFilter,
     HashFamily,
+    derive_seed,
     element_to_bytes,
 )
 from yesnobf.topology import Graph, PathExperiment, run_topology_experiment
@@ -531,6 +532,23 @@ def test_classify_obeys_an_overriding_query_sketch():
     assert recorder.shown == expected
 
 
+def test_classify_picks_the_no_parts_it_hashes_by_the_filters_yes_mask():
+    """A filter whose yes filter holds more bits than its members set, as
+    a loaded filter can, classifies each element as query answers it."""
+    params = YesNoParams.of(p=40, q=8, r=2, k=3, k_prime=3)
+    members = [f"name-{i}" for i in range(12)]
+    candidates = [f"probe-{i}" for i in range(60)]
+    filt, _ = YesNoFilter.build(params, members, candidates, seed=3)
+    assert filt.classify(members, candidates).yes_stage_negatives
+    wide = YesNoFilter(params, (1 << params.p) - 1, filt.no_filters, seed=3,
+                       mode=MODE_RANDOM)
+    got = wide.classify(members, candidates)
+    assert got.yes_stage_negatives == []
+    for outcome, filed in ((QueryResult.NEGATIVE_NO_STAGE, got.no_stage_rejections),
+                           (QueryResult.POSITIVE, got.residual_false_positives)):
+        assert filed == [e for e in candidates if wide.query(e) is outcome]
+
+
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
 def test_a_filter_whose_no_filter_covers_a_member_answers_no_to_it(mode):
     """A fault in the filter's state, as a tampered or mis-loaded filter
@@ -708,12 +726,30 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
                         (*no, element_to_bytes(members[0]))]
 
     exp = PathExperiment.from_graph(
-        "ring10", Graph(edges=[(f"v{i}", f"v{(i + 1) % 10}") for i in range(10)]),
+        "ring30", Graph(edges=[(f"v{i}", f"v{(i + 1) % 30}") for i in range(30)]),
         params=params, k_bf=4, allocations=3)
     run_topology_experiment(exp, seed=1, mode=mode)
-    links = [element_to_bytes(link.id) for link in exp.s_links + exp.t_links]
+    s_ids = [link.id for link in exp.s_links]
+    ids = s_ids + [link.id for link in exp.t_links]
+    links = [element_to_bytes(e) for e in ids]
     baseline = [(exp.k_bf, params.m, d) for d in links]
-    assert walked((exp.k_bf, params.m)) == baseline * exp.allocations
+    topology_walks = walked()
+    by_shape = {shape: [w for w in topology_walks if w[:2] == shape]
+                for shape in ((exp.k_bf, params.m), yes, no)}
+    assert by_shape[exp.k_bf, params.m] == baseline * exp.allocations
+    # each allocation's yes family walks every link, its no family the
+    # yes-stage hits
+    assert by_shape[yes] == [(*yes, d) for d in links] * exp.allocations
+    hits = []
+    for index in range(exp.allocations):
+        alloc_seed = derive_seed(1, exp.name, index)
+        yes_parts = [reference.element_mask(*yes, alloc_seed, e, mode) for e in ids]
+        yes_mask = 0
+        for y in yes_parts[:len(s_ids)]:
+            yes_mask |= y
+        hits += [(*no, d) for d, y in zip(links, yes_parts) if y & yes_mask == y]
+    assert by_shape[no] == hits
+    assert len(s_ids) * exp.allocations < len(hits) < len(baseline) * exp.allocations
 
     # a trial's yes family walks every id, its no family the yes-stage hits
     got = simulate.trial_outcome(params, 12, 200, 3, mode)[1]
@@ -724,6 +760,12 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
         + [(*no, element_to_bytes(e)) for e in members + candidates
            if e not in misses])
     assert 0 < len(misses) < len(candidates)
+
+    # without no-filters a trial's yes family walks every id, and its no
+    # family no element
+    params = YesNoParams.of(p=40, q=8, r=0, k=3, k_prime=2)
+    simulate.trial_outcome(params, 12, 200, 3, mode)
+    assert walked() == [(*yes, element_to_bytes(e)) for e in members + candidates]
 
 
 class _CountingBits:
