@@ -263,6 +263,15 @@ def mask_rows(walks) -> list[int]:
                     repeat("little")))
 
 
+def walk_masks(walks) -> list[int]:
+    """mask_rows without numpy: encoded_mask of each element of every
+    (family, datas) walk, in order, one encoded_mask call per element.
+    Builds, classifications and topology experiments sketch through it,
+    so they never import numpy. It walks each family on its own, so unlike
+    mask_rows it also takes families of several shapes, or no walk."""
+    return [m for family, datas in walks for m in map(family.encoded_mask, datas)]
+
+
 class BloomFilter:
     """Classic Bloom filter: insert sets k bits, membership is a subset test.
 

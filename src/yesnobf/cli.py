@@ -9,6 +9,7 @@ decimals and outputs are byte-identical across reruns of one command.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -48,18 +49,19 @@ def _add_geometry_flags(parser, base):
                         help="no-filter hash count")
 
 
-def _int_at_least(low: int):
-    """An argparse type refusing ints below low, in an error naming the flag."""
-    bound = "positive" if low == 1 else f">= {low}"
+def _number_in(kind, low, high=math.inf):
+    """An argparse type refusing numbers outside [low, high], NaN among
+    them, in an error naming the flag."""
+    bound = (f"in [{low}, {high}]" if high < math.inf
+             else "positive" if low == 1 else f">= {low}")
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
+    # argparse reports text that kind refuses as an invalid __name__ value
+    parse.__name__ = kind.__name__
     return parse
 
 
@@ -184,7 +186,8 @@ def build_parser() -> _Parser:
                                  "and topology experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    positive, nonnegative = _int_at_least(1), _int_at_least(0)
+    positive, nonnegative = _number_in(int, 1), _number_in(int, 0)
+    probability = _number_in(float, 0, 1)
     p_an = sub.add_parser("analyze", help="closed-form probabilities")
     p_an.add_argument("--m", type=positive, default=256, help="filter bits")
     p_an.add_argument("--k", type=positive, default=6, help="hash count")
@@ -196,8 +199,8 @@ def build_parser() -> _Parser:
     p_an.add_argument("--r", type=nonnegative, default=3, help="number of no-filters")
     p_an.add_argument("--k-prime", type=positive, default=5,
                       help="no-filter hash count")
-    p_an.add_argument("--pr-s", type=float, default=0.0, help="membership prior")
-    p_an.add_argument("--pr-r", type=float, default=0.0,
+    p_an.add_argument("--pr-s", type=probability, default=0.0, help="membership prior")
+    p_an.add_argument("--pr-r", type=probability, default=0.0,
                       help="prior of being a recorded false positive")
     p_an.add_argument("--no-filter-load", type=nonnegative, default=None,
                       help="elements stored per no-filter (default n)")

@@ -21,7 +21,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import islice
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
 from .bitcore import _MODES, MODE_RANDOM, _encoded_ids, derive_seed, mask_rows
@@ -29,10 +29,9 @@ from .yesno import (
     Classification,
     ConstructionReport,
     Sketcher,
-    YesNoFilter,
     YesNoParams,
-    _no_part_reads,
-    _paired,
+    _build_and_classify,
+    _sketch_trials,
 )
 
 # The names a sweep can vary: SweepConfig.swept and `sweep --var` take
@@ -75,38 +74,22 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
 
     The trials pass in chunks of _CHUNK_TRIALS. Each trial draws its ids,
     distinct by construction, so nothing re-checks them as
-    YesNoFilter.build does. One bitcore.mask_rows call gives the chunk's
-    yes parts, each trial's yes family walking all its ids. Each trial's
-    no-part reads follow Sketcher._sketch_sets' rule, and a second
-    mask_rows call gives the read no parts, each trial's no family
-    walking only those ids. Every trial then builds and classifies
-    through build_from_sketches and classify_sketches with the sketches
-    Sketcher._sketch_sets gives, so the outcomes are those of
+    YesNoFilter.build does. yesno._sketch_trials sketches the chunk's
+    trials in one batch, reducing their hash walks with bitcore.mask_rows,
+    and each trial then builds and classifies through
+    yesno._build_and_classify, so the outcomes are those of
     YesNoFilter.build, then classify, of the same two sets.
     """
-    items = n + t
     trial_seeds = iter(trial_seeds)
     while seeds := list(islice(trial_seeds, _CHUNK_TRIALS)):
         drawn = [draw_elements(trial_seed, n, t) for trial_seed in seeds]
-        encoded = _encoded_ids([e for members, candidates in drawn
-                                for e in members + candidates])
-        datas = [encoded[i * items:(i + 1) * items] for i in range(len(seeds))]
+        encoded = iter(_encoded_ids([e for members, candidates in drawn
+                                     for e in members + candidates]))
+        trials = [list(islice(encoded, n + t)) for _ in seeds]
         sketchers = [Sketcher(params, trial_seed, mode) for trial_seed in seeds]
-        masks = mask_rows((sk.yes_family, d) for sk, d in zip(sketchers, datas))
-        yes_parts = [masks[i * items:(i + 1) * items] for i in range(len(seeds))]
-        reads = [_no_part_reads(params.r, y, n) for y in yes_parts]
-        no_parts = iter(mask_rows((sk.no_family, compress(d, h))
-                                  for sk, d, h in zip(sketchers, datas, reads)))
-        for trial_seed, (members, candidates), trial_yes, trial_reads in zip(
-                seeds, drawn, yes_parts, reads):
-            sketches = _paired(trial_yes, trial_reads, no_parts)
-            member_sketches, candidate_sketches = sketches[:n], sketches[n:]
-            built, report = YesNoFilter.build_from_sketches(
-                params, member_sketches, candidate_sketches,
-                seed=trial_seed, mode=mode)
-            yield report, built.classify_sketches(
-                list(zip(members, member_sketches)),
-                list(zip(candidates, candidate_sketches)))
+        for sk, (members, candidates), sketches in zip(
+                sketchers, drawn, _sketch_trials(sketchers, trials, n, mask_rows)):
+            yield _build_and_classify(sk, members, candidates, sketches)
 
 
 def trial_outcome(params: YesNoParams, n: int, t: int, trial_seed: int,

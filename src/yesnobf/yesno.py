@@ -15,12 +15,13 @@ With r=0 the whole thing degenerates to a classic Bloom filter of p bits.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import compress, islice
 from operator import or_
 
-from .bitcore import _MODES, MODE_RANDOM, HashFamily, element_to_bytes
+from .bitcore import _MODES, MODE_RANDOM, HashFamily, element_to_bytes, walk_masks
 
 
 @dataclass(frozen=True)
@@ -97,37 +98,55 @@ class Sketcher:
         return (self.yes_family.encoded_mask(data),
                 self.no_family.encoded_mask(data))
 
-    def _sketch_sets(self, member_datas, candidate_datas, yes_mask=None
-                     ) -> tuple[list[ElementSketch], list[ElementSketch]]:
-        """Sketches of two lists of element_to_bytes encodings as a query
-        reads them: every yes part, and the no parts _no_part_reads picks,
-        with None elsewhere."""
-        datas = [*member_datas, *candidate_datas]
-        yes_parts = list(map(self.yes_family.encoded_mask, datas))
-        n = len(member_datas)
-        reads = _no_part_reads(self.params.r, yes_parts, n, yes_mask)
-        sketches = _paired(yes_parts, reads, map(self.no_family.encoded_mask,
-                                                 compress(datas, reads)))
-        return sketches[:n], sketches[n:]
+
+def _sketch_trials(sketchers, trials, n: int, rows, yes_masks=None
+                   ) -> Iterator[list[ElementSketch]]:
+    """Each trial's sketches as a query reads them, for a batch of trials:
+    one Sketcher per trial, and each trial's element_to_bytes encodings,
+    its n members first.
+
+    rows is the list reducer, bitcore.mask_rows or its numpy-free twin
+    walk_masks: one call gives every trial's yes parts, and a second the
+    no parts a query reads. This is the one no-part rule: an element's no
+    part is hashed only with r > 0 no-filters, and only where its yes part
+    lies inside the trial's yes mask, its yes_masks entry if given
+    (classify passes the filter's yes_filter), else the OR of its members'
+    yes parts, the mask a build lays down. No query reads the no part of
+    a yes-stage negative, so it is None there, and everywhere when r is 0.
+    Both walks run at the call; the sketch lists come one trial at a time,
+    in order, as the caller reaches each trial.
+    """
+    yes_stream = iter(rows((sk.yes_family, d) for sk, d in zip(sketchers, trials)))
+    yes_parts = [list(islice(yes_stream, len(datas))) for datas in trials]
+    if yes_masks is None:
+        yes_masks = [reduce(or_, parts[:n], 0) for parts in yes_parts]
+    reads = [[y & mask == y for y in parts] if sk.params.r else [False] * len(parts)
+             for sk, parts, mask in zip(sketchers, yes_parts, yes_masks)]
+    no_parts = iter(rows((sk.no_family, compress(datas, hits))
+                         for sk, datas, hits in zip(sketchers, trials, reads)))
+    return ([(y, next(no_parts) if hit else None) for y, hit in zip(parts, hits)]
+            for parts, hits in zip(yes_parts, reads))
 
 
-def _no_part_reads(r: int, yes_parts, n: int, yes_mask=None) -> list[bool]:
-    """Whether a query reads each element's no part: only with r > 0
-    no-filters, and only where its yes part lies inside yes_mask, by
-    default the OR of the first n (the members') yes parts, the mask a
-    build lays down. No query reads the no part of a yes-stage negative."""
-    if not r:
-        return [False] * len(yes_parts)
-    if yes_mask is None:
-        yes_mask = reduce(or_, yes_parts[:n], 0)
-    return [y & yes_mask == y for y in yes_parts]
+def _build_and_classify(sketcher: Sketcher, members, candidates, sketches
+                        ) -> tuple[ConstructionReport, Classification]:
+    """One trial's (report, Classification): YesNoFilter.build_from_sketches
+    over its sketches, the members' first, then classify_sketches of the
+    same elements, as YesNoFilter.build, then classify, would give.
 
-
-def _paired(yes_parts, reads, no_parts) -> list[ElementSketch]:
-    """Each yes part with the next no part of the iterator no_parts where
-    reads holds, else with None."""
-    return [(y, next(no_parts) if read else None)
-            for y, read in zip(yes_parts, reads)]
+    Both methods are looked up through the class at each call, and the
+    build is classified before this returns, so a wrapper on either sees
+    every build, then its classification. The sweep's trials and the
+    topology experiments' allocations all run through here.
+    """
+    n = len(members)
+    member_sketches, candidate_sketches = sketches[:n], sketches[n:]
+    built, report = YesNoFilter.build_from_sketches(
+        sketcher.params, member_sketches, candidate_sketches,
+        seed=sketcher.seed, mode=sketcher.mode)
+    return report, built.classify_sketches(
+        list(zip(members, member_sketches)),
+        list(zip(candidates, candidate_sketches)))
 
 
 class QueryResult(enum.Enum):
@@ -197,10 +216,6 @@ def _check_disjoint_sets(members, candidates):
     return member_list, candidate_list
 
 
-def _encode(elements) -> list[bytes]:
-    return [element_to_bytes(e) for e in elements]
-
-
 class YesNoFilter:
     """Built two-stage filter; treat as immutable once constructed.
 
@@ -242,9 +257,11 @@ class YesNoFilter:
         """
         member_list, candidate_list = _check_disjoint_sets(members, candidates)
         sk = Sketcher(params, seed, mode)
+        n = len(member_list)
+        datas = list(map(element_to_bytes, member_list + candidate_list))
+        [sketches] = _sketch_trials([sk], [datas], n, walk_masks)
         built, report = cls.build_from_sketches(
-            params, *sk._sketch_sets(_encode(member_list), _encode(candidate_list)),
-            seed=seed, mode=mode)
+            params, sketches[:n], sketches[n:], seed=seed, mode=mode)
         built._sketcher = sk
         return built, report
 
@@ -264,9 +281,7 @@ class YesNoFilter:
         raises ValueError, and so does a None no part that the guard or a
         query would read, and an empty member no part when r > 0.
         """
-        p = params.p
-        q = params.q
-        r = params.r
+        p, q, r = params.p, params.q, params.r
         yes_mask = 0
         member_no_masks = []
         for y, mn in member_sketches:
@@ -307,7 +322,17 @@ class YesNoFilter:
         no_masks = [0] * r
         loads = [0] * r
         guard = not params.allow_false_negatives
-        packed = None  # member no-masks one per lane, packed at first need
+        if guard and r and left:
+            # Lane i of packed is member i's no-mask under a set stop bit;
+            # lows and highs hold every lane's lowest bit and stop bit.
+            width = q + 1
+            lane = (1 << width) - 1
+            lows = ((1 << width * len(member_no_masks)) - 1) // lane
+            highs = lows << q
+            packed = 0
+            for mn in reversed(member_no_masks):
+                packed = packed << width | mn
+            packed |= highs
         for j in range(r):
             if not left:
                 break
@@ -324,18 +349,6 @@ class YesNoFilter:
                 # passed it, and no member no part is empty, so it covers
                 # no member.
                 if guard and candidate_mask != nm:
-                    if packed is None:
-                        # Lane i of packed is member i's no-mask under a set
-                        # stop bit; lows and highs hold every lane's lowest
-                        # bit and stop bit.
-                        width = q + 1
-                        lane = (1 << width) - 1
-                        lows = ((1 << width * len(member_no_masks)) - 1) // lane
-                        highs = lows << q
-                        packed = 0
-                        for mn in reversed(member_no_masks):
-                            packed = packed << width | mn
-                        packed |= highs
                     # Masked, lane i keeps its stop bit and member i's bits
                     # outside the candidate. Subtracting lows borrows from the
                     # stop bit, never past it, only when there are none: when
@@ -415,11 +428,11 @@ class YesNoFilter:
         sk = self._sketcher
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
-        member_sketches, candidate_sketches = sk._sketch_sets(
-            _encode(member_list), _encode(candidate_list), self.yes_filter)
-        return self.classify_sketches(
-            list(zip(member_list, member_sketches)),
-            list(zip(candidate_list, candidate_sketches)))
+        n = len(member_list)
+        datas = list(map(element_to_bytes, member_list + candidate_list))
+        [sketches] = _sketch_trials([sk], [datas], n, walk_masks, [self.yes_filter])
+        return self.classify_sketches(list(zip(member_list, sketches)),
+                                      list(zip(candidate_list, sketches[n:])))
 
     def classify_sketches(self, member_pairs, candidate_pairs) -> Classification:
         """classify() core over (element, sketch) pairs: one query_sketch

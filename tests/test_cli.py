@@ -108,6 +108,18 @@ def test_analyze_names_a_negative_count_flag(capsys, flag):
     assert run_cli(capsys, "analyze", flag, "0")[0] == 0
 
 
+@pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
+@pytest.mark.parametrize("flag", ["--pr-s", "--pr-r"])
+def test_analyze_names_a_prior_flag_outside_the_unit_interval(capsys, flag, value):
+    code, out, err = run_cli(capsys, "analyze", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"yesnobf analyze: error: argument {flag}: must be in [0, 1], "
+        f"got {float(value)}")
+    assert run_cli(capsys, "analyze", flag, "0")[0] == 0
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys)[0] == 1
     assert run_cli(capsys, "frobnicate")[0] == 1

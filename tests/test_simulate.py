@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import os
 import random
 import struct
@@ -226,6 +227,26 @@ def test_batched_pass_crosses_a_chunk_boundary(mode):
     assert got == [reference.trial(params, *draw_elements(s, 8, 30), s, mode)
                    for s in seeds]
     assert any(report.r_count for report, _ in got)
+
+
+@pytest.mark.parametrize("p, q, r", [(4, 2, 1), (5, 2, 2)])
+def test_trial_kernel_holds_the_exact_mean_fp(p, q, r):
+    """10,000 trials of n = t = 2 at k = k' = 1: with the guard, the mean
+    residual FP lies within 3 standard errors of the exact mean over every
+    sketch assignment (21/32 and 27/50); without it, no trial keeps one."""
+    trials = 10_000
+    for guard in (True, False):
+        params = YesNoParams.of(p, q, r, 1, 1, allow_false_negatives=not guard)
+        seeds = (derive_seed(26, p, q, r, trial) for trial in range(trials))
+        counts = [outcome.fp_count for _, outcome in simulate._trial_outcomes(
+            params, 2, 2, seeds, MODE_RANDOM)]
+        if not guard:
+            assert set(counts) == {0}
+            continue
+        exact = float(reference.exact_mean_fp(params, 2, 2))
+        mean = sum(counts) / trials
+        std = math.sqrt(sum((c - mean) ** 2 for c in counts) / (trials - 1))
+        assert abs(mean - exact) <= 3 * std / math.sqrt(trials), (mean, exact)
 
 
 def test_numpy_stays_out_of_filters_and_topology():

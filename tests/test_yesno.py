@@ -16,7 +16,13 @@ from yesnobf.bitcore import (
     element_to_bytes,
 )
 from yesnobf.topology import Graph, PathExperiment, run_topology_experiment
-from yesnobf.yesno import QueryResult, Sketcher, YesNoFilter, YesNoParams
+from yesnobf.yesno import (
+    QueryResult,
+    Sketcher,
+    YesNoFilter,
+    YesNoParams,
+    _sketch_trials,
+)
 
 import reference
 
@@ -660,6 +666,57 @@ def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
     assert walked() == (1, 0)
     assert filt.contains(members[0])
     assert walked() == (1, 1 if r else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(geometry=st.one_of(geometries, _saturating(1, 12, 20).map(lambda g: g[:5])),
+       elements=st.lists(reference.ids, max_size=30, unique_by=element_to_bytes),
+       n=st.integers(0, 30), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                                            max_size=4),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       reducer=st.sampled_from([bitcore.mask_rows, bitcore.walk_masks]),
+       yes_masks=st.none() | st.lists(st.integers(0, 2**64 - 1) | st.just(2**64 - 1),
+                                      min_size=4, max_size=4))
+@example(geometry=(40, 8, 0, 3, 1), elements=list(range(20)), n=5, seeds=[1, 2],
+         mode=MODE_RANDOM, reducer=bitcore.mask_rows, yes_masks=None)
+@example(geometry=(13, 4, 2, 3, 1), elements=list(range(20)), n=0, seeds=[1, 2],
+         mode=MODE_DOUBLE, reducer=bitcore.walk_masks, yes_masks=None)
+@example(geometry=(13, 4, 2, 3, 1), elements=list(range(5)), n=5, seeds=[1, 2],
+         mode=MODE_RANDOM, reducer=bitcore.mask_rows, yes_masks=None)
+@example(geometry=(13, 4, 2, 3, 1), elements=[], n=0, seeds=[1, 2],
+         mode=MODE_RANDOM, reducer=bitcore.walk_masks, yes_masks=None)
+@example(geometry=(13, 4, 2, 3, 1), elements=list(range(20)), n=5, seeds=[1, 2, 3],
+         mode=MODE_DOUBLE, reducer=bitcore.mask_rows,
+         yes_masks=[0, 2**13 - 1, 0b1011011011011, 0])
+def test_a_batch_sketches_each_trial_as_a_one_trial_call(
+        geometry, elements, n, seeds, mode, reducer, yes_masks):
+    """Trial i of a batch holds the sketches a one-trial call gives it:
+    every yes part, and the no part only with r > 0 and inside the trial's
+    yes mask, given or else the OR of its members' yes parts."""
+    params = YesNoParams.of(*geometry)
+    n = min(n, len(elements))
+    datas = [element_to_bytes(e) for e in elements]
+    # each trial takes another member set, rotated from the same elements
+    trial_elements = [elements[i:] + elements[:i] for i in range(len(seeds))]
+    trials = [datas[i:] + datas[:i] for i in range(len(seeds))]
+    sketchers = [Sketcher(params, seed, mode) for seed in seeds]
+    masks = yes_masks and yes_masks[:len(seeds)]
+    batch = list(_sketch_trials(sketchers, trials, n, reducer, masks))
+    assert len(batch) == len(seeds)
+    for i, (sk, trial, ids) in enumerate(zip(sketchers, trials, trial_elements)):
+        [alone] = _sketch_trials([sk], [trial], n, reducer, masks and [masks[i]])
+        assert batch[i] == alone
+        yes_parts = [reference.element_mask(params.k, params.p, sk.seed, e, mode)
+                     for e in ids]
+        yes_mask = 0
+        for y in yes_parts[:n]:
+            yes_mask |= y
+        if masks:
+            yes_mask = masks[i]
+        assert batch[i] == [
+            (y, reference.element_mask(params.k_prime, params.q, sk.seed, e, mode)
+             if params.r and y & yes_mask == y else None)
+            for e, y in zip(ids, yes_parts)]
 
 
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
