@@ -213,32 +213,38 @@ def mask_rows(walks) -> list[int]:
 
     The families share count, range_size and mode, and may differ in
     seed; no walk, or two shapes, raise ValueError. Elements are digested
-    as encoded_mask digests them, and numpy turns the chunks into
+    as encoded_mask digests them, but block-major: every element's block
+    0, then every element's block 1, so a one-block shape is one tight
+    loop per walk. Each walk's datas is made a list first, as a shape of
+    several blocks reads it once per block. numpy turns the chunks into
     positions by _shape's rules and ORs them into a uint8 row per element,
     byte 0 lowest. numpy is imported only when this runs.
     """
     import numpy as np
 
-    walks = list(walks)
+    walks = [(family, list(datas)) for family, datas in walks]
     shapes = {(f.count, f.range_size, f.mode) for f, _ in walks}
     if len(shapes) != 1:
         raise ValueError(f"mask_rows needs one family shape, got {sorted(shapes)}")
     [(count, size, mode)] = shapes
+    items = sum(len(datas) for _, datas in walks)
     if not count:
-        return [0] * sum(1 for _, datas in walks for _ in datas)
+        return [0] * items
     digest_size, _, blocks = _shape(count, size, mode)
-    suffixes = [suffix for suffix, _ in blocks]
     out = []
     append = out.append
-    for family, datas in walks:
-        hasher = family._hasher
-        for data in datas:
-            for suffix in suffixes:
-                h = hasher.copy()
+    for suffix, _ in blocks:
+        for family, datas in walks:
+            copy = family._hasher.copy
+            for data in datas:
+                h = copy()
                 h.update(data + suffix)
                 append(h.digest())
+    # (blocks, items, words) to one row of every block's words per element
+    words = digest_size // 8
     chunks = np.frombuffer(b"".join(out), "<u8").reshape(
-        -1, len(blocks) * digest_size // 8)
+        len(blocks), items, words).transpose(1, 0, 2).reshape(
+        items, len(blocks) * words)
     width = (size + 7) // 8
     size = np.uint64(size)
     if mode == MODE_DOUBLE:
@@ -248,7 +254,6 @@ def mask_rows(walks) -> list[int]:
         stride[stride == 0] = 1
         chunks = chunks[:, :1] % size + np.arange(count, dtype=np.uint64) * stride
     positions = chunks[:, :count] % size
-    items = len(positions)
     rows = np.zeros(items * width, np.uint8)
     # .at ORs a position repeated within an element once, as the int walk
     # does

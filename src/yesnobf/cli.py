@@ -40,12 +40,16 @@ def _write_output(text: str, destination: str | None) -> None:
 
 
 def _add_geometry_flags(parser, base):
-    """--p, --q, --r, --k and --k-prime, defaulting to base's geometry."""
-    parser.add_argument("--p", type=int, default=base.p, help="yes-filter bits")
-    parser.add_argument("--q", type=int, default=base.q, help="bits per no-filter")
-    parser.add_argument("--r", type=int, default=base.r, help="number of no-filters")
-    parser.add_argument("--k", type=int, default=base.k, help="yes-filter hash count")
-    parser.add_argument("--k-prime", type=int, default=base.k_prime,
+    """--p, --q, --r, --k and --k-prime, defaulting to base's geometry. A
+    value out of its own range names its flag; YesNoParams still refuses
+    bad combinations, such as q >= p."""
+    positive, nonnegative = _number_in(int, 1), _number_in(int, 0)
+    parser.add_argument("--p", type=positive, default=base.p, help="yes-filter bits")
+    parser.add_argument("--q", type=positive, default=base.q, help="bits per no-filter")
+    parser.add_argument("--r", type=nonnegative, default=base.r,
+                        help="number of no-filters")
+    parser.add_argument("--k", type=positive, default=base.k, help="yes-filter hash count")
+    parser.add_argument("--k-prime", type=nonnegative, default=base.k_prime,
                         help="no-filter hash count")
 
 

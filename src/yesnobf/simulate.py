@@ -42,8 +42,9 @@ CSV_HEADER = ("swept", "value", "mean_fp", "std_fp", "min", "q25", "median",
               "q75", "max", "baseline_bf_m", "baseline_bf_p")
 
 # Trials sketched in one batched pass. The pass holds its trials' ids,
-# hash streams, mask rows and sketches at once, ~85 KB a trial at the default
-# geometry, so this bounds a point's memory whatever its trial count.
+# hash streams, mask rows and sketches at once, ~58 KB a trial at the default
+# geometry (tracemalloc's peak over one chunk), so this bounds a point's
+# memory whatever its trial count.
 # 16 trials already spread numpy's per-call cost over ~2,000 elements; at
 # 128 a sweep's peak RSS rose by a third.
 _CHUNK_TRIALS = 16
@@ -245,9 +246,12 @@ def _comparison_hashes(config: SweepConfig, params: YesNoParams, value: int,
 
 def sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep; geometry errors become per-point error entries."""
-    # numpy is confined to sweeps (the statistics here, the mask_rows pass
-    # in _trial_outcomes): importing it costs ~12 MB, which building and
-    # querying filters, topology experiments included, never pay
+    # numpy is confined to sweeps (std_fp here, the mask_rows pass in
+    # _trial_outcomes): importing it costs ~12 MB, which building and
+    # querying filters, topology experiments included, never pay. statistics
+    # loads fractions and decimal, ~0.4 MB, so it waits here too.
+    import statistics
+
     import numpy as np
 
     points = []
@@ -257,26 +261,29 @@ def sweep(config: SweepConfig) -> SweepResult:
         except ValueError as exc:
             points.append(SweepPoint(config.swept, value, error=str(exc)))
             continue
-        counts = np.empty(config.trials, dtype=np.int64)
+        counts = []
         fn_total = 0
         seeds = (derive_seed(config.seed, index, trial)
                  for trial in range(config.trials))
-        outcomes = _trial_outcomes(params, n, config.t, seeds, config.mode)
-        for trial, (_, outcome) in enumerate(outcomes):
-            counts[trial] = outcome.fp_count
+        for _, outcome in _trial_outcomes(params, n, config.t, seeds, config.mode):
+            counts.append(outcome.fp_count)
             fn_total += len(outcome.false_negatives)
-        quartiles = np.quantile(counts, (0.25, 0.5, 0.75))
+        # of integer counts, np.quantile's linear rule and the inclusive
+        # method both give exact quarters, so the floats are equal; one
+        # count is every quartile, where quantiles would raise
+        quartiles = (statistics.quantiles(counts, n=4, method="inclusive")
+                     if config.trials > 1 else counts * 3)
         k_m = _comparison_hashes(config, params, value, n)
         points.append(SweepPoint(
             swept=config.swept,
             value=value,
-            mean_fp=float(counts.mean()),
-            std_fp=float(counts.std(ddof=1)) if config.trials > 1 else 0.0,
-            min_fp=float(counts.min()),
+            mean_fp=sum(counts) / config.trials,
+            std_fp=float(np.std(counts, ddof=1)) if config.trials > 1 else 0.0,
+            min_fp=float(min(counts)),
             q25=float(quartiles[0]),
             median=float(quartiles[1]),
             q75=float(quartiles[2]),
-            max_fp=float(counts.max()),
+            max_fp=float(max(counts)),
             baseline_bf_m=expected_fp_count(
                 config.t, fp_prob_exact(FilterShape(params.m, k_m, n))),
             baseline_bf_p=expected_fp_count(

@@ -108,6 +108,20 @@ def test_analyze_names_a_negative_count_flag(capsys, flag):
     assert run_cli(capsys, "analyze", flag, "0")[0] == 0
 
 
+@pytest.mark.parametrize("flag", ["--p", "--q", "--k", "--r", "--k-prime"])
+@pytest.mark.parametrize("command", ["sweep", "topology"])
+def test_geometry_flags_name_the_flag(capsys, command, flag):
+    # a count of no-filters or of their hashes may be 0
+    least = 0 if flag in ("--r", "--k-prime") else 1
+    rest = ["--var", "k", "--range", "1:2"] if command == "sweep" else ["net.graphml"]
+    code, out, err = run_cli(capsys, command, *rest, flag, str(least - 1))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"yesnobf {command}: error: argument {flag}: must be "
+        f"{'positive' if least else '>= 0'}, got {least - 1}")
+
+
 @pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
 @pytest.mark.parametrize("flag", ["--pr-s", "--pr-r"])
 def test_analyze_names_a_prior_flag_outside_the_unit_interval(capsys, flag, value):
@@ -359,12 +373,14 @@ def test_sweep_names_the_range_for_a_step_below_one(capsys, step):
 
 
 @pytest.mark.parametrize("flag, message", [
-    ("--q", "q must be positive, got 0"),
+    ("--q", "q (200) must be smaller than p (160)"),
     ("--k-prime", "k_prime must be >= 1 when there are no-filters"),
 ])
 def test_sweep_fails_when_no_point_can_run(capsys, flag, message):
+    # --q 0 fails as it is parsed, so --q takes a value only YesNoParams refuses
+    value = "200" if flag == "--q" else "0"
     code, out, err = run_cli(capsys, "sweep", "--var", "k", "--range", "1:2",
-                             "--trials", "5", flag, "0")
+                             "--trials", "5", flag, value)
     assert code == 1
     assert out == ""
     assert err.splitlines()[-1] == f"yesnobf: error: {message}"

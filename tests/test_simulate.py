@@ -12,6 +12,7 @@ import types
 from hashlib import blake2b
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -160,23 +161,38 @@ class _KeepsDigests:
 @settings(max_examples=150, deadline=None)
 @given(count=st.integers(0, 20), size=st.integers(1, 300),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       seed=st.integers(0, 2**64 - 1), batch=st.lists(reference.ids, max_size=40))
-# count 9 reads a second digest block; sizes above 256 need a third byte
-# index bit; size 1 makes every double-mode h2 % size 0
-@example(count=9, size=300, mode=MODE_RANDOM, seed=5, batch=["edge", 7, b"raw"])
-@example(count=20, size=257, mode=MODE_DOUBLE, seed=5, batch=["edge", 7, b"raw"])
-@example(count=5, size=1, mode=MODE_DOUBLE, seed=0, batch=[3, "x"])
-@example(count=0, size=9, mode=MODE_DOUBLE, seed=0, batch=[3, "x"])
-@example(count=4, size=100, mode=MODE_RANDOM, seed=0, batch=[])
-def test_numpy_reduction_is_encoded_masks(count, size, mode, seed, batch):
-    fam = HashFamily(count, size, mode=mode, seed=seed)
-    datas = [element_to_bytes(e) for e in batch]
-    stream = []
-    fam._hasher = _KeepsDigests(fam._hasher, stream)
-    masks = mask_rows([(fam, datas)])
+       walks=st.lists(st.tuples(st.integers(0, 2**64 - 1),
+                                st.lists(reference.ids, max_size=15)),
+                      min_size=1, max_size=3, unique_by=lambda walk: walk[0]))
+# count 9 reads a second digest block and 20 a third; sizes above 256 need a
+# third byte index bit; size 1 makes every double-mode h2 % size 0
+@example(count=9, size=300, mode=MODE_RANDOM, walks=[(5, ["edge", 7, b"raw"])])
+@example(count=20, size=100, mode=MODE_RANDOM,
+         walks=[(5, ["edge", 7]), (6, []), (7, [b"raw", 8, "x"])])
+@example(count=20, size=257, mode=MODE_DOUBLE, walks=[(5, ["edge", 7, b"raw"])])
+@example(count=5, size=1, mode=MODE_DOUBLE, walks=[(0, [3, "x"])])
+@example(count=0, size=9, mode=MODE_DOUBLE, walks=[(0, [3, "x"]), (1, [4])])
+@example(count=4, size=100, mode=MODE_RANDOM, walks=[(0, [])])
+def test_numpy_reduction_is_encoded_masks(count, size, mode, walks):
+    datas = [[element_to_bytes(e) for e in batch] for _, batch in walks]
+    families, streams = [], []
+    for seed, _ in walks:
+        families.append(HashFamily(count, size, mode=mode, seed=seed))
+        streams.append([])
+        families[-1]._hasher = _KeepsDigests(families[-1]._hasher, streams[-1])
+    # one-shot iterators, as the sweep's no-part walks pass: a shape of
+    # several blocks must still digest each element's every block once
+    masks = mask_rows((fam, iter(d)) for fam, d in zip(families, datas))
+    want = []
     per_element = 64 * -(-count // 8) if mode == MODE_RANDOM else 16 * (count > 0)
-    assert len(b"".join(stream)) == per_element * len(datas)
-    assert masks == [fam.encoded_mask(d) for d in datas]
+    for (seed, _), d, stream in zip(walks, datas, streams):
+        fam = HashFamily(count, size, mode=mode, seed=seed)
+        own = []
+        fam._hasher = _KeepsDigests(fam._hasher, own)
+        want += map(fam.encoded_mask, d)
+        assert len(b"".join(stream)) == per_element * len(d)
+        assert sorted(stream) == sorted(own)
+    assert masks == want
 
 
 def test_numpy_reduction_steps_by_one_where_h2_divides_the_size():
@@ -250,10 +266,12 @@ def test_trial_kernel_holds_the_exact_mean_fp(p, q, r):
 
 
 def test_numpy_stays_out_of_filters_and_topology():
-    """Importing numpy costs ~12 MB; only sweeps may pay it."""
+    """Importing numpy costs ~12 MB, and statistics ~0.4 MB; only sweeps
+    may pay them."""
     script = """
 import sys
 import yesnobf
+import yesnobf.cli  # imports simulate, as every subcommand does
 from yesnobf.corpus import default_corpus
 from yesnobf.topology import PathExperiment, run_topology_experiment
 name, graph = default_corpus()[0]
@@ -265,7 +283,8 @@ filt.classify(range(10), range(10, 60))
 bf = yesnobf.BloomFilter(64, 3, seed=1)
 bf.insert("x")
 assert bf.contains("x")
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("numpy", "statistics"))
 assert not loaded, loaded
 """
     root = Path(__file__).resolve().parent.parent
@@ -343,6 +362,24 @@ def test_sweep_statistics_are_ordered():
         assert pt.min_fp <= pt.q25 <= pt.median <= pt.q75 <= pt.max_fp
         assert pt.min_fp <= pt.mean_fp <= pt.max_fp
         assert pt.std_fp >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(trials=st.integers(1, 30), seed=st.integers(0, 2**64 - 1), guard=st.booleans())
+@example(trials=1, seed=5, guard=True)
+@example(trials=2, seed=5, guard=False)
+def test_point_statistics_are_numpys(trials, seed, guard):
+    config = _small_sweep(trials=trials, seed=seed, allow_false_negatives=not guard)
+    for index, pt in enumerate(sweep(config).points):
+        params, n = simulate._point_geometry(config, pt.value)
+        seeds = [derive_seed(seed, index, trial) for trial in range(trials)]
+        counts = np.array([outcome.fp_count for _, outcome in simulate._trial_outcomes(
+            params, n, config.t, seeds, config.mode)])
+        assert [pt.q25, pt.median, pt.q75] == [
+            float(q) for q in np.quantile(counts, (0.25, 0.5, 0.75))]
+        assert [pt.mean_fp, pt.min_fp, pt.max_fp] == [
+            float(np.mean(counts)), float(np.min(counts)), float(np.max(counts))]
+        assert pt.std_fp == (float(np.std(counts, ddof=1)) if trials > 1 else 0.0)
 
 
 def test_k_sweep_baseline_follows_swept_value():
