@@ -79,11 +79,55 @@ class _ShiftedBits:
         return 1 << i
 
 
+def _readers(count: int, range_size: int, blocks, per_block: int,
+             byte_table: bool) -> tuple:
+    """mask(hasher, bits, data) and within(hasher, bits, data, m) of one
+    family shape, written out as straight-line source and compiled once,
+    the way dataclasses writes __init__.
+
+    Block b digests data + its suffix from a copy of hasher and unpacks
+    its chunks, per_block of them or the count left, through its reader
+    read<b>, a closure cell of the factory that makes both functions.
+    Each chunk's position is then one term, bits[c % range_size], or
+    bits[c] over the 256-entry byte table: mask ORs the terms, eight to a
+    line, and within returns False at the first term outside m, before
+    any later block is digested. hasher and bits are arguments, not bound
+    in, so the calling family's own hasher and table are the ones read.
+    """
+    index = "{}" if byte_table else f"{{}} % {range_size}"
+    mask_body, within_body = [], []
+    for b, (suffix, _) in enumerate(blocks):
+        names = [f"c{i}" for i in range(min(per_block, count - b * per_block))]
+        digest = ["h = hasher.copy()",
+                  f"h.update(data + {suffix!r})" if suffix else "h.update(data)",
+                  f"[{', '.join(names)}] = read{b}(h.digest())"]
+        terms = [f"bits[{index.format(c)}]" for c in names]
+        mask_body += digest + [f"out {'|=' if b or i else '='} "
+                               + " | ".join(terms[i:i + 8])
+                               for i in range(0, len(terms), 8)]
+        within_body += digest + [f"if not m & {t}:\n            return False"
+                                 for t in terms]
+    reads = ", ".join(f"read{b}" for b in range(len(blocks)))
+    source = "\n".join([
+        f"def factory({reads}):",
+        "    def mask(hasher, bits, data):",
+        *(f"        {line}" for line in mask_body),
+        f"        return {'out' if blocks else 0}",
+        "    def within(hasher, bits, data, m):",
+        *(f"        {line}" for line in within_body),
+        "        return True",
+        "    return mask, within"])
+    namespace = {}
+    exec(compile(source, f"<readers {count}x{range_size}>", "exec"), namespace)
+    return namespace["factory"](*(read for _, read in blocks))
+
+
 @lru_cache(maxsize=256)
 def _shape(count: int, range_size: int, mode: str) -> tuple:
-    """(digest size, bit table, blocks) of a family shape: the one place
-    bitcore decides a hash mode. mask_rows, below, carries a numpy copy of
-    both position rules, and its tests hold its ints to encoded_mask's.
+    """(digest size, bit table, blocks, mask, within) of a family shape: the
+    one place bitcore decides a hash mode. mask_rows, below, carries a numpy
+    copy of both position rules, and its tests hold its ints to
+    encoded_mask's.
 
     blocks pairs each digest suffix with a reader of that digest's chunks:
     an element's digests are of its encoding + each suffix, and chunk c
@@ -92,13 +136,19 @@ def _shape(count: int, range_size: int, mode: str) -> tuple:
     so its blocks and their unpackers are fixed by the shape. Where
     range_size divides 256, a little-endian chunk mod range_size is its
     low byte mod range_size, so a reader gives each chunk's first byte
-    instead of unpacking 64 bits. A double-hashing walk takes one
-    unsuffixed digest, read as h1 and h2, and its chunks are the
-    progression h1 % range + i * stride. A family of count 0 has no
-    blocks and reads no chunks, in either mode. None of it depends on the
-    seed, so families rebuilt per seed share it.
+    instead of unpacking 64 bits, and the bit table has 256 entries, entry
+    b the bit of b % range_size, so no % range_size runs. A double-hashing
+    walk takes one unsuffixed digest, read as h1 and h2, and its chunks
+    are the progression h1 % range + i * stride. A family of count 0 has
+    no blocks and reads no chunks, in either mode.
+
+    mask and within are the shape's straight-line readers from _readers,
+    built once here, so HashFamily.encoded_mask and encoded_within are
+    each one call. None of it depends on the seed, so families rebuilt
+    per seed share it.
     """
     bits = _BITS if range_size <= _TABLE_SIZE else _ShiftedBits()
+    byte_table = False
     if mode == MODE_DOUBLE and count:
         unpack = struct.Struct("<2Q").unpack_from
 
@@ -106,14 +156,20 @@ def _shape(count: int, range_size: int, mode: str) -> tuple:
             h1, h2 = unpack(digest)
             start, stride = h1 % range_size, h2 % range_size or 1
             return range(start, start + count * stride, stride)
-        return 16, bits, ((b"", read),)
-    blocks = []
-    for start in range(0, count, 8):
-        n = min(8, count - start)
-        read = (struct.Struct(f"<{n}Q").unpack_from if 256 % range_size
-                else itemgetter(slice(0, 8 * n, 8)))
-        blocks.append(((start // 8).to_bytes(4, "little"), read))
-    return 64, bits, tuple(blocks)
+        digest_size, per_block, blocks = 16, count, ((b"", read),)
+    else:
+        byte_table = not 256 % range_size
+        if byte_table:
+            bits = tuple(_BITS[b % range_size] for b in range(256))
+        blocks = []
+        for start in range(0, count, 8):
+            n = min(8, count - start)
+            read = (itemgetter(slice(0, 8 * n, 8)) if byte_table
+                    else struct.Struct(f"<{n}Q").unpack_from)
+            blocks.append(((start // 8).to_bytes(4, "little"), read))
+        digest_size, per_block, blocks = 64, 8, tuple(blocks)
+    return (digest_size, bits, blocks,
+            *_readers(count, range_size, blocks, per_block, byte_table))
 
 
 class HashFamily:
@@ -126,7 +182,7 @@ class HashFamily:
     """
 
     __slots__ = ("count", "range_size", "mode", "seed", "_key", "_hasher",
-                 "_bits", "_blocks")
+                 "_bits", "_mask", "_within")
 
     def __init__(self, count: int, range_size: int, *, mode: str = MODE_RANDOM,
                  seed: int = 0):
@@ -142,7 +198,8 @@ class HashFamily:
         self.seed = seed & MASK64
         flags = _MODES.index(mode)
         self._key = struct.pack("<QQQB", self.seed, count, range_size, flags)
-        digest_size, self._bits, self._blocks = _shape(count, range_size, mode)
+        digest_size, self._bits, _, self._mask, self._within = _shape(
+            count, range_size, mode)
         # keyed once; each digest copies it rather than deriving the key and
         # parameter block again. The copy still holds the key block, which
         # blake2b buffers until data arrives, so every digest compresses it.
@@ -155,38 +212,22 @@ class HashFamily:
     def encoded_mask(self, data: bytes) -> int:
         """element_mask of one element already encoded by element_to_bytes.
 
-        It reads the keyed hasher one digest block at a time, as mask_rows
-        does for lists, and ORs in the position of each chunk.
+        One call to the shape's mask reader, built once per shape by
+        _shape: it reads the keyed hasher one digest block at a time, as
+        mask_rows does for lists, and ORs in the position of each chunk.
         """
-        hasher = self._hasher
-        size = self.range_size
-        bits = self._bits
-        mask = 0
-        for suffix, read in self._blocks:
-            h = hasher.copy()
-            h.update(data + suffix)
-            for c in read(h.digest()):
-                mask |= bits[c % size]
-        return mask
+        return self._mask(self._hasher, self._bits, data)
 
     def encoded_within(self, data: bytes, mask: int) -> bool:
         """Whether the element_mask of one element already encoded by
         element_to_bytes lies inside mask: count_within for one element.
 
-        It reads the keyed hasher as encoded_mask does, and returns False
-        at the first position outside mask, as a Bloom filter read stops
-        at its first clear bit, before digesting any later block.
+        One call to the shape's within reader, built once per shape by
+        _shape: it reads the keyed hasher as encoded_mask does, and returns
+        False at the first position outside mask, as a Bloom filter read
+        stops at its first clear bit, before digesting any later block.
         """
-        hasher = self._hasher
-        size = self.range_size
-        bits = self._bits
-        for suffix, read in self._blocks:
-            h = hasher.copy()
-            h.update(data + suffix)
-            for c in read(h.digest()):
-                if not mask & bits[c % size]:
-                    return False
-        return True
+        return self._within(self._hasher, self._bits, data, mask)
 
     def count_within(self, datas, mask: int) -> int:
         """How many elements of a list already encoded by element_to_bytes
@@ -230,7 +271,7 @@ def mask_rows(walks) -> list[int]:
     items = sum(len(datas) for _, datas in walks)
     if not count:
         return [0] * items
-    digest_size, _, blocks = _shape(count, size, mode)
+    digest_size, _, blocks, _, _ = _shape(count, size, mode)
     out = []
     append = out.append
     for suffix, _ in blocks:

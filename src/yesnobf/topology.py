@@ -296,6 +296,11 @@ class PathExperiment:
     Raises ValueError when allocations or k_bf is below 1, or when the
     link ids repeat or S and T share one. Two distinct links can share an
     id: "x"->"y->z" and "x->y"->"z" are both x->y->z.
+
+    The link ids, S's then T's, and their element_to_bytes encodings are
+    made once, here, beside the disjointness check, and every
+    run_topology_experiment call reuses them; being derived from the
+    links, they take no part in == or repr.
     """
 
     name: str
@@ -304,6 +309,8 @@ class PathExperiment:
     params: YesNoParams = DEFAULT_PARAMS
     k_bf: int = DEFAULT_K_BF
     allocations: int = DEFAULT_ALLOCATIONS
+    # (s_ids, t_ids, datas): datas encodes s_ids + t_ids
+    _encoded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.allocations < 1:
@@ -311,8 +318,10 @@ class PathExperiment:
         if self.k_bf < 1:
             raise ValueError(f"k_bf must be >= 1, got {self.k_bf}")
         # ids, not links: "x"->"y->z" and "x->y"->"z" share the id x->y->z
-        _check_disjoint_sets([link.id for link in self.s_links],
-                             [link.id for link in self.t_links])
+        s_ids, t_ids = _check_disjoint_sets([link.id for link in self.s_links],
+                                            [link.id for link in self.t_links])
+        object.__setattr__(self, "_encoded", (
+            s_ids, t_ids, [element_to_bytes(e) for e in s_ids + t_ids]))
 
     @classmethod
     def from_graph(cls, name: str, graph: Graph, path=None,
@@ -347,18 +356,18 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     """Average both structures' false positives over fresh random
     allocations; each allocation's stream comes from (seed, name, index).
 
-    The ids are encoded once per call. The allocations pass in chunks of
-    _CHUNK_ALLOCATIONS: yesno._sketch_trials sketches a chunk in one batch
-    through bitcore.walk_masks, and each allocation then builds and
+    The ids and their encodings are the ones the experiment made when it
+    was built. The allocations pass in chunks of _CHUNK_ALLOCATIONS:
+    yesno._sketch_trials sketches a chunk in one batch through
+    bitcore.walk_masks, and each allocation then builds and
     classifies through yesno._build_and_classify, so its yes-no count is
     that of YesNoFilter.build, then classify. Its classic count is that of
     a BloomFilter(m, k_bf) under the same seed and mode holding S, asked
     about T.
     """
     params = experiment.params
-    s_ids = [link.id for link in experiment.s_links]
-    t_ids = [link.id for link in experiment.t_links]
-    s_datas, t_datas = ([element_to_bytes(e) for e in ids] for ids in (s_ids, t_ids))
+    s_ids, t_ids, datas = experiment._encoded
+    s_datas, t_datas = datas[:len(s_ids)], datas[len(s_ids):]
     yn_counts = []
     bf_counts = []
     indexes = iter(range(experiment.allocations))
@@ -366,7 +375,7 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
         sketchers = [Sketcher(params, derive_seed(seed, experiment.name, index), mode)
                      for index in chunk]
         for sk, sketches in zip(sketchers, _sketch_trials(
-                sketchers, [s_datas + t_datas] * len(chunk), len(s_ids), walk_masks)):
+                sketchers, [datas] * len(chunk), len(s_ids), walk_masks)):
             yn_counts.append(_build_and_classify(sk, s_ids, t_ids, sketches)[1].fp_count)
             family = HashFamily(experiment.k_bf, params.m, mode=mode, seed=sk.seed)
             bf_mask = 0

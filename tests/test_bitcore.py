@@ -78,6 +78,19 @@ def test_mask_rows_takes_one_family_shape(other):
         mask_rows([])
 
 
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
+def test_a_seen_shape_builds_no_new_readers(mode):
+    """A family of a shape already seen, at a new seed, builds no readers:
+    it takes the ones _shape built for the shape, as topology's three
+    families per allocation do."""
+    first = HashFamily(7, 96, mode=mode, seed=1)
+    misses = _shape.cache_info().misses
+    again = HashFamily(7, 96, mode=mode, seed=2)
+    assert _shape.cache_info().misses == misses
+    assert again._mask is first._mask
+    assert again._within is first._within
+
+
 def test_hash_family_seed_and_shape_change_stream():
     base = reference.positions(4, 160, 0, 123)
     assert reference.positions(4, 160, 1, 123) != base

@@ -356,8 +356,9 @@ def test_allocations_match_the_reference_kernel(exp, seed, mode):
 
 
 def test_link_ids_are_encoded_once_per_run(monkeypatch):
-    exp = PathExperiment.from_graph("ring10", _ring(10), allocations=50)
-    link_ids = {link.id for link in exp.s_links + exp.t_links}
+    """Building the experiment encodes each link id once, and a run
+    encodes none and does not re-check the link sets: every run reuses
+    what the experiment made."""
     encoded = Counter()
     encode = bitcore.element_to_bytes
 
@@ -370,9 +371,12 @@ def test_link_ids_are_encoded_once_per_run(monkeypatch):
 
     for module in (bitcore, yesno, topology):
         monkeypatch.setattr(module, "element_to_bytes", recording, raising=False)
+    exp = PathExperiment.from_graph("ring10", _ring(10), allocations=50)
+    link_ids = {link.id for link in exp.s_links + exp.t_links}
+    assert {e: encoded[e] for e in link_ids} == dict.fromkeys(link_ids, 1)
     for module in (yesno, topology):
         monkeypatch.setattr(module, "_check_disjoint_sets", no_check)
     for _ in range(2):
         encoded.clear()
         run_topology_experiment(exp, seed=1)
-        assert {e: encoded[e] for e in link_ids} == dict.fromkeys(link_ids, 1)
+        assert {e: encoded[e] for e in link_ids} == dict.fromkeys(link_ids, 0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from yesnobf import bitcore, simulate
 from yesnobf.bitcore import (
+    _TABLE_SIZE,
     MODE_DOUBLE,
     MODE_RANDOM,
     BloomFilter,
@@ -903,14 +904,21 @@ def test_a_query_reads_what_a_classic_read_reads(mode):
     assert stops > len(fresh) // 2
 
 
-@pytest.mark.parametrize("count, size", [(20, 160), (9, 256), (4, 256)])
-def test_a_stopped_read_digests_no_block_past_its_stop(count, size):
-    """A random-mode read digests a block only when its walk reaches the
-    block's first chunk; a family of count <= 8 digests its one block."""
-    fam = HashFamily(count, size, seed=1)
+@pytest.mark.parametrize("count, size, mode", [
+    pytest.param(count, size, mode,
+                 id=f"{count}-{size}" + (mode == MODE_DOUBLE) * "-double")
+    for count, size, mode in [
+        (20, 160, MODE_RANDOM), (9, 256, MODE_RANDOM), (4, 256, MODE_RANDOM),
+        (9, _TABLE_SIZE + 1, MODE_RANDOM), (20, 160, MODE_DOUBLE), (6, 12, MODE_DOUBLE)]])
+def test_a_stopped_read_digests_no_block_past_its_stop(count, size, mode):
+    """A read tests one position at a time and digests a block only when
+    its walk reaches the block's first chunk: a random-mode family of
+    count <= 8, and every double-mode family, digests its one block."""
+    fam = HashFamily(count, size, mode=mode, seed=1)
     data = element_to_bytes("x")
     counts = _count_reads(fam)
-    positions = reference.positions(count, size, 1, "x")
+    positions = reference.positions(count, size, 1, "x", mode)
+    per_block = count if mode == MODE_DOUBLE else 8
     # a counted read of one element is its own single read
     for within in (lambda mask: fam.encoded_within(data, mask),
                    lambda mask: fam.count_within([data], mask) == 1):
@@ -922,7 +930,8 @@ def test_a_stopped_read_digests_no_block_past_its_stop(count, size):
                 continue  # set by its first occurrence, so the read passes it
             counts.update(positions=0, digests=0)
             assert not within(reference.mask(positions[:stop]))
-            assert counts == {"positions": stop + 1, "digests": stop // 8 + 1}
+            assert counts == {"positions": stop + 1,
+                              "digests": stop // per_block + 1}
         counts.update(positions=0, digests=0)
         assert within(reference.mask(positions))
-        assert counts == {"positions": count, "digests": -(-count // 8)}
+        assert counts == {"positions": count, "digests": -(-count // per_block)}
