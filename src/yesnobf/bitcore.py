@@ -81,42 +81,65 @@ class _ShiftedBits:
 
 def _readers(count: int, range_size: int, blocks, per_block: int,
              byte_table: bool) -> tuple:
-    """mask(hasher, bits, data) and within(hasher, bits, data, m) of one
-    family shape, written out as straight-line source and compiled once,
-    the way dataclasses writes __init__.
+    """The four readers of one family shape, written out as straight-line
+    source and compiled once, the way dataclasses writes __init__:
+    mask(hasher, bits, data) and within(hasher, bits, data, m) of one
+    element, and their list forms masks(hasher, bits, datas), the list of
+    masks, and count(hasher, bits, datas, m), how many lie inside m.
 
     Block b digests data + its suffix from a copy of hasher and unpacks
     its chunks, per_block of them or the count left, through its reader
-    read<b>, a closure cell of the factory that makes both functions.
+    read<b>, a closure cell of the factory that makes the readers.
     Each chunk's position is then one term, bits[c % range_size], or
     bits[c] over the 256-entry byte table: mask ORs the terms, eight to a
     line, and within returns False at the first term outside m, before
-    any later block is digested. hasher and bits are arguments, not bound
-    in, so the calling family's own hasher and table are the ones read.
+    any later block is digested. masks and count run the same lines once
+    per element inside one loop over datas, which may be any iterable,
+    with hasher.copy bound once; count goes on to the next element where
+    within returns False. hasher and bits are arguments, not bound in, so
+    the calling family's own hasher and table are the ones read.
     """
     index = "{}" if byte_table else f"{{}} % {range_size}"
-    mask_body, within_body = [], []
-    for b, (suffix, _) in enumerate(blocks):
-        names = [f"c{i}" for i in range(min(per_block, count - b * per_block))]
-        digest = ["h = hasher.copy()",
-                  f"h.update(data + {suffix!r})" if suffix else "h.update(data)",
-                  f"[{', '.join(names)}] = read{b}(h.digest())"]
-        terms = [f"bits[{index.format(c)}]" for c in names]
-        mask_body += digest + [f"out {'|=' if b or i else '='} "
-                               + " | ".join(terms[i:i + 8])
-                               for i in range(0, len(terms), 8)]
-        within_body += digest + [f"if not m & {t}:\n            return False"
-                                 for t in terms]
+
+    def walk(copy: str, stop: str | None) -> list[str]:
+        """One element's lines: a mask's into out, or with stop a test's,
+        stop running at the first position outside m."""
+        lines = []
+        for b, (suffix, _) in enumerate(blocks):
+            names = [f"c{i}" for i in range(min(per_block, count - b * per_block))]
+            lines += [f"h = {copy}()",
+                      f"h.update(data + {suffix!r})" if suffix else "h.update(data)",
+                      f"[{', '.join(names)}] = read{b}(h.digest())"]
+            terms = [f"bits[{index.format(c)}]" for c in names]
+            if stop:
+                for t in terms:
+                    lines += [f"if not m & {t}:", f"    {stop}"]
+            else:
+                lines += [f"out {'|=' if b or i else '='} " + " | ".join(terms[i:i + 8])
+                          for i in range(0, len(terms), 8)]
+        return lines
+
+    def indent(depth: int, lines: list[str]) -> list[str]:
+        return ["    " * depth + line for line in lines]
+
+    out = "out" if blocks else "0"
     reads = ", ".join(f"read{b}" for b in range(len(blocks)))
     source = "\n".join([
         f"def factory({reads}):",
         "    def mask(hasher, bits, data):",
-        *(f"        {line}" for line in mask_body),
-        f"        return {'out' if blocks else 0}",
+        *indent(2, walk("hasher.copy", None) + [f"return {out}"]),
         "    def within(hasher, bits, data, m):",
-        *(f"        {line}" for line in within_body),
-        "        return True",
-        "    return mask, within"])
+        *indent(2, walk("hasher.copy", "return False") + ["return True"]),
+        "    def masks(hasher, bits, datas):",
+        *indent(2, ["copy = hasher.copy", "outs = []", "append = outs.append",
+                    "for data in datas:"]),
+        *indent(3, walk("copy", None) + [f"append({out})"]),
+        "        return outs",
+        "    def count(hasher, bits, datas, m):",
+        *indent(2, ["copy = hasher.copy", "hits = 0", "for data in datas:"]),
+        *indent(3, walk("copy", "continue") + ["hits += 1"]),
+        "        return hits",
+        "    return mask, within, masks, count"])
     namespace = {}
     exec(compile(source, f"<readers {count}x{range_size}>", "exec"), namespace)
     return namespace["factory"](*(read for _, read in blocks))
@@ -124,10 +147,10 @@ def _readers(count: int, range_size: int, blocks, per_block: int,
 
 @lru_cache(maxsize=256)
 def _shape(count: int, range_size: int, mode: str) -> tuple:
-    """(digest size, bit table, blocks, mask, within) of a family shape: the
-    one place bitcore decides a hash mode. mask_rows, below, carries a numpy
-    copy of both position rules, and its tests hold its ints to
-    encoded_mask's.
+    """(digest size, bit table, blocks, mask, within, masks, count) of a
+    family shape: the one place bitcore decides a hash mode. mask_rows,
+    below, carries a numpy copy of both position rules, and its tests hold
+    its ints to encoded_mask's.
 
     blocks pairs each digest suffix with a reader of that digest's chunks:
     an element's digests are of its encoding + each suffix, and chunk c
@@ -142,10 +165,10 @@ def _shape(count: int, range_size: int, mode: str) -> tuple:
     are the progression h1 % range + i * stride. A family of count 0 has
     no blocks and reads no chunks, in either mode.
 
-    mask and within are the shape's straight-line readers from _readers,
-    built once here, so HashFamily.encoded_mask and encoded_within are
-    each one call. None of it depends on the seed, so families rebuilt
-    per seed share it.
+    mask, within, masks and count are the shape's straight-line readers
+    from _readers, built once here, so HashFamily.encoded_mask,
+    encoded_within, encoded_masks and count_within are each one call.
+    None of it depends on the seed, so families rebuilt per seed share it.
     """
     bits = _BITS if range_size <= _TABLE_SIZE else _ShiftedBits()
     byte_table = False
@@ -182,7 +205,7 @@ class HashFamily:
     """
 
     __slots__ = ("count", "range_size", "mode", "seed", "_key", "_hasher",
-                 "_bits", "_mask", "_within")
+                 "_bits", "_mask", "_within", "_masks", "_count")
 
     def __init__(self, count: int, range_size: int, *, mode: str = MODE_RANDOM,
                  seed: int = 0):
@@ -198,8 +221,8 @@ class HashFamily:
         self.seed = seed & MASK64
         flags = _MODES.index(mode)
         self._key = struct.pack("<QQQB", self.seed, count, range_size, flags)
-        digest_size, self._bits, _, self._mask, self._within = _shape(
-            count, range_size, mode)
+        (digest_size, self._bits, _, self._mask, self._within, self._masks,
+         self._count) = _shape(count, range_size, mode)
         # keyed once; each digest copies it rather than deriving the key and
         # parameter block again. The copy still holds the key block, which
         # blake2b buffers until data arrives, so every digest compresses it.
@@ -229,15 +252,28 @@ class HashFamily:
         """
         return self._within(self._hasher, self._bits, data, mask)
 
-    def count_within(self, datas, mask: int) -> int:
-        """How many elements of a list already encoded by element_to_bytes
-        have their element_mask inside mask: a classic Bloom filter's hits.
+    def encoded_masks(self, datas) -> list[int]:
+        """encoded_mask of each element of an iterable already encoded by
+        element_to_bytes, in order.
 
-        Each element is one encoded_within walk, so it stops at its first
-        position outside mask, as a Bloom filter query stops at its first
-        clear bit, and digests no later block.
+        One call to the shape's masks reader, built once per shape by
+        _shape: one loop over datas runs encoded_mask's walk for each
+        element, with no call per element.
         """
-        return sum(map(self.encoded_within, datas, repeat(mask)))
+        return self._masks(self._hasher, self._bits, datas)
+
+    def count_within(self, datas, mask: int) -> int:
+        """How many elements of an iterable already encoded by
+        element_to_bytes have their element_mask inside mask: a classic
+        Bloom filter's hits.
+
+        One call to the shape's count reader, built once per shape by
+        _shape: one loop over datas runs encoded_within's walk for each
+        element, so each stops at its first position outside mask, as a
+        Bloom filter query stops at its first clear bit, and digests no
+        later block.
+        """
+        return self._count(self._hasher, self._bits, datas, mask)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashFamily):
@@ -271,7 +307,7 @@ def mask_rows(walks) -> list[int]:
     items = sum(len(datas) for _, datas in walks)
     if not count:
         return [0] * items
-    digest_size, _, blocks, _, _ = _shape(count, size, mode)
+    digest_size, _, blocks, *_ = _shape(count, size, mode)
     out = []
     append = out.append
     for suffix, _ in blocks:
@@ -311,11 +347,14 @@ def mask_rows(walks) -> list[int]:
 
 def walk_masks(walks) -> list[int]:
     """mask_rows without numpy: encoded_mask of each element of every
-    (family, datas) walk, in order, one encoded_mask call per element.
+    (family, datas) walk, in order, one encoded_masks call per walk.
     Builds, classifications and topology experiments sketch through it,
     so they never import numpy. It walks each family on its own, so unlike
     mask_rows it also takes families of several shapes, or no walk."""
-    return [m for family, datas in walks for m in map(family.encoded_mask, datas)]
+    out = []
+    for family, datas in walks:
+        out += family.encoded_masks(datas)
+    return out
 
 
 class BloomFilter:

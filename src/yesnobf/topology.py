@@ -19,7 +19,9 @@ import warnings
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
+from operator import or_
 from pathlib import Path
 
 from .bitcore import MODE_RANDOM, HashFamily, derive_seed, element_to_bytes, walk_masks
@@ -363,7 +365,8 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     classifies through yesno._build_and_classify, so its yes-no count is
     that of YesNoFilter.build, then classify. Its classic count is that of
     a BloomFilter(m, k_bf) under the same seed and mode holding S, asked
-    about T.
+    about T: one encoded_masks call lays S down and one count_within call
+    reads T.
     """
     params = experiment.params
     s_ids, t_ids, datas = experiment._encoded
@@ -378,9 +381,7 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
                 sketchers, [datas] * len(chunk), len(s_ids), walk_masks)):
             yn_counts.append(_build_and_classify(sk, s_ids, t_ids, sketches)[1].fp_count)
             family = HashFamily(experiment.k_bf, params.m, mode=mode, seed=sk.seed)
-            bf_mask = 0
-            for d in s_datas:
-                bf_mask |= family.encoded_mask(d)
+            bf_mask = reduce(or_, family.encoded_masks(s_datas), 0)
             bf_counts.append(family.count_within(t_datas, bf_mask))
     fp_yesno_mean = sum(yn_counts) / experiment.allocations
     fp_bf_mean = sum(bf_counts) / experiment.allocations

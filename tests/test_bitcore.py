@@ -1,6 +1,7 @@
 """Hash family and classic Bloom filter behavior."""
 
 from fractions import Fraction
+from itertools import compress, repeat
 from statistics import mean, stdev
 
 import pytest
@@ -89,6 +90,8 @@ def test_a_seen_shape_builds_no_new_readers(mode):
     assert _shape.cache_info().misses == misses
     assert again._mask is first._mask
     assert again._within is first._within
+    assert again._masks is first._masks
+    assert again._count is first._count
 
 
 def test_hash_family_seed_and_shape_change_stream():
@@ -403,3 +406,50 @@ def test_union_is_disjunction(first, second, seed):
     union.mask = left.mask | right.mask
     for element in first + second:
         assert union.contains(element)
+
+
+# How a list reader may be handed its elements: a list, or one-shot
+# iterators it may read only once.
+FEEDS = {"list": list, "iter": iter, "compress": lambda d: compress(d, repeat(1))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(0, 20),
+       size=st.sampled_from([1, 2, 32, 64, 256]) | st.integers(1, 3 * _TABLE_SIZE),
+       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
+       seed=st.integers(0, 2**64 - 1), batch=st.lists(reference.ids, max_size=12),
+       stored=st.integers(0, 12), noise=st.integers(0, 2**(3 * _TABLE_SIZE)),
+       feed=st.sampled_from(sorted(FEEDS)))
+# no elements; no functions; one, two and three digest blocks; a range
+# past the bit table; stride 1 where h2 % 12 is 0 for 3, 7 and 37
+@example(count=4, size=32, mode=MODE_RANDOM, seed=3, batch=[], stored=0, noise=0,
+         feed="compress")
+@example(count=0, size=32, mode=MODE_DOUBLE, seed=3, batch=["edge", 7], stored=1,
+         noise=0, feed="iter")
+@example(count=20, size=256, mode=MODE_RANDOM, seed=3, batch=["edge", 7, b"raw"],
+         stored=2, noise=0, feed="compress")
+@example(count=17, size=160, mode=MODE_RANDOM, seed=3, batch=["edge", 7, b"raw"],
+         stored=1, noise=(1 << 160) // 3, feed="iter")
+@example(count=9, size=_TABLE_SIZE + 1, mode=MODE_RANDOM, seed=3,
+         batch=["edge", 7, b"raw"], stored=1, noise=0, feed="compress")
+@example(count=20, size=3 * _TABLE_SIZE, mode=MODE_DOUBLE, seed=3,
+         batch=["edge", 7, b"raw"], stored=1, noise=0, feed="iter")
+@example(count=6, size=12, mode=MODE_DOUBLE, seed=0, batch=[3, 7, 37, "edge"],
+         stored=1, noise=0, feed="compress")
+@range_examples(seed=5, batch=["edge", 7, b"raw", "x", 9], stored=2,
+                noise=(1 << 512) // 3, feed="compress")
+def test_list_readers_are_the_one_element_readers_in_turn(count, size, mode, seed,
+                                                         batch, stored, noise, feed):
+    """encoded_masks is encoded_mask of each element, and count_within the
+    number of elements encoded_within passes, whatever iterable holds them."""
+    fam = HashFamily(count, size, mode=mode, seed=seed)
+    datas = [element_to_bytes(e) for e in batch]
+    masks = [fam.encoded_mask(d) for d in datas]
+    assert fam.encoded_masks(FEEDS[feed](datas)) == masks
+    full = (1 << size) - 1
+    held = 0  # a classic filter holding the first stored elements
+    for mask in masks[:stored]:
+        held |= mask
+    for mask in (0, full, held, held | noise & full, noise & full):
+        assert fam.count_within(FEEDS[feed](datas), mask) == \
+               sum(fam.encoded_within(d, mask) for d in datas)

@@ -624,10 +624,13 @@ def test_property_kernels_match_the_full_sketch_oracle(case, seed, mode, guard):
 
 def _record_walks(monkeypatch):
     """(count, range_size, items) of every walk: each HashFamily.encoded_mask
-    or encoded_within call, one item each."""
+    or encoded_within call, one item each, and each element of an
+    encoded_masks or count_within call, one item each."""
     walks = []
     walk_one = HashFamily.encoded_mask
     test_one = HashFamily.encoded_within
+    walk_list = HashFamily.encoded_masks
+    test_list = HashFamily.count_within
 
     def recording_one(family, data):
         walks.append((family.count, family.range_size, 1))
@@ -637,8 +640,20 @@ def _record_walks(monkeypatch):
         walks.append((family.count, family.range_size, 1))
         return test_one(family, data, mask)
 
+    def recording_list(family, datas):
+        datas = list(datas)
+        walks.extend((family.count, family.range_size, 1) for _ in datas)
+        return walk_list(family, datas)
+
+    def recording_count(family, datas, mask):
+        datas = list(datas)
+        walks.extend((family.count, family.range_size, 1) for _ in datas)
+        return test_list(family, datas, mask)
+
     monkeypatch.setattr(HashFamily, "encoded_mask", recording_one)
     monkeypatch.setattr(HashFamily, "encoded_within", recording_test)
+    monkeypatch.setattr(HashFamily, "encoded_masks", recording_list)
+    monkeypatch.setattr(HashFamily, "count_within", recording_count)
     return walks
 
 
@@ -723,20 +738,33 @@ def test_a_batch_sketches_each_trial_as_a_one_trial_call(
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])
 def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
                                                                 monkeypatch):
-    """Each walk's elements pass exactly once through bitcore.mask_rows,
-    the list reader, or through a one-element reader, HashFamily.encoded_mask
-    or encoded_within, so a walk that reads the keyed hasher some other way,
-    or through two readers, fails here."""
+    """Each walk's elements pass exactly once through a list reader,
+    bitcore.mask_rows, HashFamily.encoded_masks or count_within, or through
+    a one-element reader, HashFamily.encoded_mask or encoded_within, so a
+    walk that reads the keyed hasher some other way, or through two
+    readers, fails here."""
     seen = []
-    read_list = bitcore.mask_rows
+    read_rows = bitcore.mask_rows
+    read_list = HashFamily.encoded_masks
+    test_list = HashFamily.count_within
     read_one = HashFamily.encoded_mask
     test_one = HashFamily.encoded_within
 
-    def recording_list(walks):
+    def recording_rows(walks):
         walks = [(family, list(datas)) for family, datas in walks]
         for family, datas in walks:
             seen.extend((family.count, family.range_size, d) for d in datas)
-        return read_list(walks)
+        return read_rows(walks)
+
+    def recording_list(family, datas):
+        datas = list(datas)
+        seen.extend((family.count, family.range_size, d) for d in datas)
+        return read_list(family, datas)
+
+    def recording_count(family, datas, mask):
+        datas = list(datas)
+        seen.extend((family.count, family.range_size, d) for d in datas)
+        return test_list(family, datas, mask)
 
     def recording_one(family, data):
         seen.append((family.count, family.range_size, data))
@@ -747,7 +775,9 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
         return test_one(family, data, mask)
 
     for module in (bitcore, simulate):
-        monkeypatch.setattr(module, "mask_rows", recording_list)
+        monkeypatch.setattr(module, "mask_rows", recording_rows)
+    monkeypatch.setattr(HashFamily, "encoded_masks", recording_list)
+    monkeypatch.setattr(HashFamily, "count_within", recording_count)
     monkeypatch.setattr(HashFamily, "encoded_mask", recording_one)
     monkeypatch.setattr(HashFamily, "encoded_within", recording_test)
 
@@ -913,7 +943,8 @@ def test_a_query_reads_what_a_classic_read_reads(mode):
 def test_a_stopped_read_digests_no_block_past_its_stop(count, size, mode):
     """A read tests one position at a time and digests a block only when
     its walk reaches the block's first chunk: a random-mode family of
-    count <= 8, and every double-mode family, digests its one block."""
+    count <= 8, and every double-mode family, digests its one block. So
+    does each element of a count_within list, at its own stop."""
     fam = HashFamily(count, size, mode=mode, seed=1)
     data = element_to_bytes("x")
     counts = _count_reads(fam)
@@ -935,3 +966,26 @@ def test_a_stopped_read_digests_no_block_past_its_stop(count, size, mode):
         counts.update(positions=0, digests=0)
         assert within(reference.mask(positions))
         assert counts == {"positions": count, "digests": -(-count // per_block)}
+
+    # a list read walks each element once: its masks digest every block of
+    # each, and its count stops each element at that element's own stop
+    elements = ["x", "y", 7, b"z", "x"]
+    datas = [element_to_bytes(e) for e in elements]
+    counts.update(positions=0, digests=0)
+    assert fam.encoded_masks(datas) == [reference.element_mask(count, size, 1, e, mode)
+                                        for e in elements]
+    assert counts == {"positions": count * len(elements),
+                      "digests": -(-count // per_block) * len(elements)}
+    walks = [reference.positions(count, size, 1, e, mode) for e in elements]
+    for mask in [0, reference.mask(positions)] + [
+            reference.mask(positions[:stop] + walks[1][:stop] + walks[2][:-stop])
+            for stop in range(1, count)]:
+        # each element's positions up to and with its first outside mask,
+        # None for one that passes
+        read = [next((i + 1 for i, pos in enumerate(walk) if not mask >> pos & 1),
+                     None) for walk in walks]
+        counts.update(positions=0, digests=0)
+        assert fam.count_within(iter(datas), mask) == read.count(None)
+        assert counts == {
+            "positions": sum(n or count for n in read),
+            "digests": sum(-(-(n or count) // per_block) for n in read)}
