@@ -12,7 +12,6 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from hashlib import blake2b
-from itertools import repeat
 from operator import itemgetter
 
 MASK64 = (1 << 64) - 1
@@ -36,17 +35,6 @@ def element_to_bytes(element) -> bytes:
     if isinstance(element, bytes):
         return b"b" + element
     raise TypeError(f"unsupported element type: {type(element).__name__}")
-
-
-def _encoded_ids(ids) -> list[bytes]:
-    """element_to_bytes of each 64-bit id, in one numpy pass: the tag
-    b"i", then the id's 8 bytes little-endian."""
-    import numpy as np
-
-    records = np.empty((len(ids), 9), np.uint8)
-    records[:, 0] = ord("i")
-    records[:, 1:] = np.array(ids, "<u8").view(np.uint8).reshape(-1, 8)
-    return records.view("V9").ravel().tolist()
 
 
 def derive_seed(*parts) -> int:
@@ -148,9 +136,9 @@ def _readers(count: int, range_size: int, blocks, per_block: int,
 @lru_cache(maxsize=256)
 def _shape(count: int, range_size: int, mode: str) -> tuple:
     """(digest size, bit table, blocks, mask, within, masks, count) of a
-    family shape: the one place bitcore decides a hash mode. mask_rows,
-    below, carries a numpy copy of both position rules, and its tests hold
-    its ints to encoded_mask's.
+    family shape: the one place bitcore decides a hash mode. Every walk
+    of a keyed hasher, for one element or for a list, runs through one of
+    the four readers built here.
 
     blocks pairs each digest suffix with a reader of that digest's chunks:
     an element's digests are of its encoding + each suffix, and chunk c
@@ -213,6 +201,11 @@ class HashFamily:
             raise ValueError(f"count must be >= 0, got {count}")
         if range_size < 1:
             raise ValueError(f"range_size must be positive, got {range_size}")
+        # the key packs both as unsigned 64-bit words
+        if count > MASK64:
+            raise ValueError(f"count must be below 2**64, got {count}")
+        if range_size > MASK64:
+            raise ValueError(f"range_size must be below 2**64, got {range_size}")
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.count = count
@@ -237,7 +230,8 @@ class HashFamily:
 
         One call to the shape's mask reader, built once per shape by
         _shape: it reads the keyed hasher one digest block at a time, as
-        mask_rows does for lists, and ORs in the position of each chunk.
+        encoded_masks does for each element of a list, and ORs in the
+        position of each chunk.
         """
         return self._mask(self._hasher, self._bits, data)
 
@@ -283,78 +277,6 @@ class HashFamily:
     def __repr__(self) -> str:
         return (f"HashFamily(count={self.count}, range_size={self.range_size}, "
                 f"mode={self.mode!r}, seed={self.seed})")
-
-
-def mask_rows(walks) -> list[int]:
-    """encoded_mask of each element of every (family, datas) walk, in order.
-
-    The families share count, range_size and mode, and may differ in
-    seed; no walk, or two shapes, raise ValueError. Elements are digested
-    as encoded_mask digests them, but block-major: every element's block
-    0, then every element's block 1, so a one-block shape is one tight
-    loop per walk. Each walk's datas is made a list first, as a shape of
-    several blocks reads it once per block. numpy turns the chunks into
-    positions by _shape's rules and ORs them into a uint8 row per element,
-    byte 0 lowest. numpy is imported only when this runs.
-    """
-    import numpy as np
-
-    walks = [(family, list(datas)) for family, datas in walks]
-    shapes = {(f.count, f.range_size, f.mode) for f, _ in walks}
-    if len(shapes) != 1:
-        raise ValueError(f"mask_rows needs one family shape, got {sorted(shapes)}")
-    [(count, size, mode)] = shapes
-    items = sum(len(datas) for _, datas in walks)
-    if not count:
-        return [0] * items
-    digest_size, _, blocks, *_ = _shape(count, size, mode)
-    out = []
-    append = out.append
-    for suffix, _ in blocks:
-        for family, datas in walks:
-            copy = family._hasher.copy
-            for data in datas:
-                h = copy()
-                h.update(data + suffix)
-                append(h.digest())
-    # (blocks, items, words) to one row of every block's words per element
-    words = digest_size // 8
-    chunks = np.frombuffer(b"".join(out), "<u8").reshape(
-        len(blocks), items, words).transpose(1, 0, 2).reshape(
-        items, len(blocks) * words)
-    width = (size + 7) // 8
-    size = np.uint64(size)
-    if mode == MODE_DOUBLE:
-        # chunk i is h1 % size + i * stride, stride = h2 % size or 1, as
-        # _shape's reader gives; each is below count * size
-        stride = chunks[:, 1:] % size
-        stride[stride == 0] = 1
-        chunks = chunks[:, :1] % size + np.arange(count, dtype=np.uint64) * stride
-    positions = chunks[:, :count] % size
-    rows = np.zeros(items * width, np.uint8)
-    # .at ORs a position repeated within an element once, as the int walk
-    # does
-    np.bitwise_or.at(
-        rows,
-        (positions >> 3).astype(np.intp)
-        + np.arange(0, items * width, width)[:, None],
-        np.left_shift(1, positions & 7).astype(np.uint8))
-    # a bytes-string view drops a row's trailing zero bytes, which are its
-    # high zeros, so each value is unchanged
-    return list(map(int.from_bytes, rows.view(f"S{width}").tolist(),
-                    repeat("little")))
-
-
-def walk_masks(walks) -> list[int]:
-    """mask_rows without numpy: encoded_mask of each element of every
-    (family, datas) walk, in order, one encoded_masks call per walk.
-    Builds, classifications and topology experiments sketch through it,
-    so they never import numpy. It walks each family on its own, so unlike
-    mask_rows it also takes families of several shapes, or no walk."""
-    out = []
-    for family, datas in walks:
-        out += family.encoded_masks(datas)
-    return out
 
 
 class BloomFilter:

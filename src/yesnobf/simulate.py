@@ -8,9 +8,9 @@ baselines: one of the same total length m, one the size of the yes-filter
 alone.
 
 Trials are independent; trial i of point j draws its PRNG stream from
-(seed, j, i), so results do not depend on scheduling. numpy is imported
-only when a trial or a sweep runs, so building and querying filters, and
-topology experiments, never load it.
+(seed, j, i), so results do not depend on scheduling. Only sweep imports
+numpy, for a point's std_fp, so trials, building and querying filters,
+and topology experiments never load it.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
-from .bitcore import _MODES, MODE_RANDOM, _encoded_ids, derive_seed, mask_rows
+from .bitcore import _MODES, MODE_RANDOM, derive_seed
 from .yesno import (
     Classification,
     ConstructionReport,
@@ -41,12 +42,12 @@ SWEPT_CHOICES = ("k", "k_prime", "n", "q", "r_fixed_p", "r_fixed_m")
 CSV_HEADER = ("swept", "value", "mean_fp", "std_fp", "min", "q25", "median",
               "q75", "max", "baseline_bf_m", "baseline_bf_p")
 
-# Trials sketched in one batched pass. The pass holds its trials' ids,
-# hash streams, mask rows and sketches at once, ~58 KB a trial at the default
-# geometry (tracemalloc's peak over one chunk), so this bounds a point's
-# memory whatever its trial count.
-# 16 trials already spread numpy's per-call cost over ~2,000 elements; at
-# 128 a sweep's peak RSS rose by a third.
+# Trials drawn, encoded and sketched in one pass. The pass holds its
+# trials' ids, encodings and sketches at once, ~30 KB a trial at the default
+# geometry (tracemalloc's peak over one pass), so this bounds a point's
+# memory whatever its trial count. Each pass pays _encoded_ids' set-up once:
+# one-trial passes cost 3-5% more a trial at r_fixed_m 0..6, and 64-trial
+# passes about as much.
 _CHUNK_TRIALS = 16
 
 
@@ -68,6 +69,25 @@ def draw_elements(trial_seed: int, n: int, t: int) -> tuple[list[int], list[int]
     return drawn[:n], drawn[n:]
 
 
+@lru_cache(maxsize=4)
+def _unpack_records(count: int):
+    """Splits count 9-byte records into a tuple of bytes; a chunk's count
+    is the same for each full chunk of a point, so it is made once."""
+    return struct.Struct("9s" * count).unpack
+
+
+def _encoded_ids(ids) -> list[bytes]:
+    """element_to_bytes of each 64-bit id: the tag b"i", then the id's 8
+    bytes little-endian, all laid into one buffer by strided slices."""
+    count = len(ids)
+    records = bytearray(9 * count)
+    records[::9] = b"i" * count
+    packed = struct.pack(f"<{count}Q", *ids)
+    for byte in range(8):
+        records[1 + byte::9] = packed[byte::8]
+    return list(_unpack_records(count)(records))
+
+
 def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
                     mode: str):
     """Yield the (report, classification) of the trial at each seed, in
@@ -76,8 +96,8 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
     The trials pass in chunks of _CHUNK_TRIALS. Each trial draws its ids,
     distinct by construction, so nothing re-checks them as
     YesNoFilter.build does. yesno._sketch_trials sketches the chunk's
-    trials in one batch, reducing their hash walks with bitcore.mask_rows,
-    and each trial then builds and classifies through
+    trials, one encoded_masks call per family and trial, and each trial
+    then builds and classifies through
     yesno._build_and_classify, so the outcomes are those of
     YesNoFilter.build, then classify, of the same two sets.
     """
@@ -89,7 +109,7 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
         trials = [list(islice(encoded, n + t)) for _ in seeds]
         sketchers = [Sketcher(params, trial_seed, mode) for trial_seed in seeds]
         for sk, (members, candidates), sketches in zip(
-                sketchers, drawn, _sketch_trials(sketchers, trials, n, mask_rows)):
+                sketchers, drawn, _sketch_trials(sketchers, trials, n)):
             yield _build_and_classify(sk, members, candidates, sketches)
 
 
@@ -246,10 +266,10 @@ def _comparison_hashes(config: SweepConfig, params: YesNoParams, value: int,
 
 def sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep; geometry errors become per-point error entries."""
-    # numpy is confined to sweeps (std_fp here, the mask_rows pass in
-    # _trial_outcomes): importing it costs ~12 MB, which building and
-    # querying filters, topology experiments included, never pay. statistics
-    # loads fractions and decimal, ~0.4 MB, so it waits here too.
+    # numpy is confined to sweeps (std_fp here): importing it costs ~12 MB,
+    # which trials, building and querying filters, topology experiments
+    # included, never pay. statistics loads fractions and decimal, ~0.4 MB,
+    # so it waits here too.
     import statistics
 
     import numpy as np

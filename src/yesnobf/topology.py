@@ -24,7 +24,7 @@ from itertools import islice
 from operator import or_
 from pathlib import Path
 
-from .bitcore import MODE_RANDOM, HashFamily, derive_seed, element_to_bytes, walk_masks
+from .bitcore import MODE_RANDOM, HashFamily, derive_seed, element_to_bytes
 from .yesno import (
     Sketcher,
     YesNoParams,
@@ -37,9 +37,9 @@ DEFAULT_PARAMS = YesNoParams.of(p=192, q=32, r=2, k=4, k_prime=3)
 DEFAULT_K_BF = 6
 DEFAULT_ALLOCATIONS = 1000
 
-# Allocations sketched in one batched pass. One pass per allocation cost
-# topology runs 2-3% of their throughput; 16 spreads the pass's set-up as
-# the sweep's chunks of trials do, holding only 16 allocations' hash parts.
+# Allocations sketched in one pass. One pass per allocation cost topology
+# runs 2-4% of their throughput; 16 spreads the pass's set-up as the
+# sweep's passes of trials do, holding only 16 allocations' sketches.
 _CHUNK_ALLOCATIONS = 16
 
 
@@ -360,8 +360,8 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
 
     The ids and their encodings are the ones the experiment made when it
     was built. The allocations pass in chunks of _CHUNK_ALLOCATIONS:
-    yesno._sketch_trials sketches a chunk in one batch through
-    bitcore.walk_masks, and each allocation then builds and
+    yesno._sketch_trials sketches a chunk, one encoded_masks call per
+    family and allocation, and each allocation then builds and
     classifies through yesno._build_and_classify, so its yes-no count is
     that of YesNoFilter.build, then classify. Its classic count is that of
     a BloomFilter(m, k_bf) under the same seed and mode holding S, asked
@@ -378,7 +378,7 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
         sketchers = [Sketcher(params, derive_seed(seed, experiment.name, index), mode)
                      for index in chunk]
         for sk, sketches in zip(sketchers, _sketch_trials(
-                sketchers, [datas] * len(chunk), len(s_ids), walk_masks)):
+                sketchers, [datas] * len(chunk), len(s_ids))):
             yn_counts.append(_build_and_classify(sk, s_ids, t_ids, sketches)[1].fp_count)
             family = HashFamily(experiment.k_bf, params.m, mode=mode, seed=sk.seed)
             bf_mask = reduce(or_, family.encoded_masks(s_datas), 0)

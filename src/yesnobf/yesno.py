@@ -15,13 +15,12 @@ With r=0 the whole thing degenerates to a classic Bloom filter of p bits.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, islice
+from itertools import compress, repeat
 from operator import or_
 
-from .bitcore import _MODES, MODE_RANDOM, HashFamily, element_to_bytes, walk_masks
+from .bitcore import _MODES, MODE_RANDOM, HashFamily, element_to_bytes
 
 
 @dataclass(frozen=True)
@@ -99,33 +98,31 @@ class Sketcher:
                 self.no_family.encoded_mask(data))
 
 
-def _sketch_trials(sketchers, trials, n: int, rows, yes_masks=None
-                   ) -> Iterator[list[ElementSketch]]:
+def _sketch_trials(sketchers, trials, n: int, yes_masks=None
+                   ) -> list[list[ElementSketch]]:
     """Each trial's sketches as a query reads them, for a batch of trials:
-    one Sketcher per trial, and each trial's element_to_bytes encodings,
-    its n members first.
+    one Sketcher per trial, and each trial's element_to_bytes encodings
+    as a list, its n members first.
 
-    rows is the list reducer, bitcore.mask_rows or its numpy-free twin
-    walk_masks: one call gives every trial's yes parts, and a second the
-    no parts a query reads. This is the one no-part rule: an element's no
-    part is hashed only with r > 0 no-filters, and only where its yes part
-    lies inside the trial's yes mask, its yes_masks entry if given
-    (classify passes the filter's yes_filter), else the OR of its members'
-    yes parts, the mask a build lays down. No query reads the no part of
-    a yes-stage negative, so it is None there, and everywhere when r is 0.
-    Both walks run at the call; the sketch lists come one trial at a time,
-    in order, as the caller reaches each trial.
+    A trial's yes family walks its every element in one encoded_masks
+    call, and its no family the elements a query reads in a second. This
+    is the one no-part rule: an element's no part is hashed only with
+    r > 0 no-filters, and only where its yes part lies inside the trial's
+    yes mask, its yes_masks entry if given (classify passes the filter's
+    yes_filter), else the OR of its members' yes parts, the mask a build
+    lays down. No query reads the no part of a yes-stage negative, so it
+    is None there, and everywhere when r is 0.
     """
-    yes_stream = iter(rows((sk.yes_family, d) for sk, d in zip(sketchers, trials)))
-    yes_parts = [list(islice(yes_stream, len(datas))) for datas in trials]
-    if yes_masks is None:
-        yes_masks = [reduce(or_, parts[:n], 0) for parts in yes_parts]
-    reads = [[y & mask == y for y in parts] if sk.params.r else [False] * len(parts)
-             for sk, parts, mask in zip(sketchers, yes_parts, yes_masks)]
-    no_parts = iter(rows((sk.no_family, compress(datas, hits))
-                         for sk, datas, hits in zip(sketchers, trials, reads)))
-    return ([(y, next(no_parts) if hit else None) for y, hit in zip(parts, hits)]
-            for parts, hits in zip(yes_parts, reads))
+    out = []
+    for sk, datas, mask in zip(sketchers, trials, yes_masks or repeat(None)):
+        parts = sk.yes_family.encoded_masks(datas)
+        if mask is None:
+            mask = reduce(or_, parts[:n], 0)
+        hits = [y & mask == y for y in parts] if sk.params.r else [False] * len(parts)
+        no_parts = iter(sk.no_family.encoded_masks(compress(datas, hits)))
+        out.append([(y, next(no_parts) if hit else None)
+                    for y, hit in zip(parts, hits)])
+    return out
 
 
 def _build_and_classify(sketcher: Sketcher, members, candidates, sketches
@@ -259,7 +256,7 @@ class YesNoFilter:
         sk = Sketcher(params, seed, mode)
         n = len(member_list)
         datas = list(map(element_to_bytes, member_list + candidate_list))
-        [sketches] = _sketch_trials([sk], [datas], n, walk_masks)
+        [sketches] = _sketch_trials([sk], [datas], n)
         built, report = cls.build_from_sketches(
             params, sketches[:n], sketches[n:], seed=seed, mode=mode)
         built._sketcher = sk
@@ -430,7 +427,7 @@ class YesNoFilter:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
         n = len(member_list)
         datas = list(map(element_to_bytes, member_list + candidate_list))
-        [sketches] = _sketch_trials([sk], [datas], n, walk_masks, [self.yes_filter])
+        [sketches] = _sketch_trials([sk], [datas], n, [self.yes_filter])
         return self.classify_sketches(list(zip(member_list, sketches)),
                                       list(zip(candidate_list, sketches[n:])))
 

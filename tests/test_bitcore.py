@@ -17,7 +17,6 @@ from yesnobf.bitcore import (
     _shape,
     derive_seed,
     element_to_bytes,
-    mask_rows,
 )
 
 import reference
@@ -58,25 +57,23 @@ def test_hash_family_zero_count_yields_no_positions():
         fam = HashFamily(0, 32, mode=mode, seed=1)
         assert reference.positions(0, 32, 1, "x", mode) == []
         assert fam.element_mask("x") == 0
-        assert mask_rows([(fam, [element_to_bytes("x"), b""])]) == [0, 0]
 
 
-@pytest.mark.parametrize("other", [
-    HashFamily(5, 32, seed=1),
-    HashFamily(4, 33, seed=1),
-    HashFamily(4, 32, mode=MODE_DOUBLE, seed=1),
-], ids=["count", "range", "mode"])
-def test_mask_rows_takes_one_family_shape(other):
-    """Walks may differ in seed, but not in count, range or mode."""
-    fam = HashFamily(4, 32, seed=1)
-    reseeded = HashFamily(4, 32, seed=2)
-    assert mask_rows([(fam, [b"x"]), (reseeded, [b"x", b"y"])]) == \
-           [fam.encoded_mask(b"x"), reseeded.encoded_mask(b"x"),
-            reseeded.encoded_mask(b"y")]
-    with pytest.raises(ValueError, match="one family shape"):
-        mask_rows([(fam, [b"x"]), (other, [b"y"])])
-    with pytest.raises(ValueError, match="one family shape"):
-        mask_rows([])
+@pytest.mark.parametrize("count, size, flagged", [
+    (-1, 8, "count must be >= 0"),
+    (2**64, 8, "count must be below 2\\*\\*64"),
+    (3, 0, "range_size must be positive"),
+    (3, 2**64, "range_size must be below 2\\*\\*64"),
+    (3, 2**64 + 1, "range_size must be below 2\\*\\*64"),
+], ids=["negative-count", "count-2**64", "zero-range", "range-2**64", "range-past-2**64"])
+def test_hash_family_refuses_a_shape_its_key_cannot_hold(count, size, flagged):
+    """The key packs count and range_size as unsigned 64-bit words, so
+    either at 2**64 or more raises ValueError, as a negative count does."""
+    for mode in (MODE_RANDOM, MODE_DOUBLE):
+        with pytest.raises(ValueError, match=flagged):
+            HashFamily(count, size, mode=mode, seed=1)
+    # the widest range the key holds is still a family
+    assert HashFamily(1, 2**64 - 1, seed=1).range_size == 2**64 - 1
 
 
 @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_DOUBLE])

@@ -386,6 +386,19 @@ def test_sweep_fails_when_no_point_can_run(capsys, flag, message):
     assert err.splitlines()[-1] == f"yesnobf: error: {message}"
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--p", f"range_size must be below 2**64, got {2**64 + 1}"),
+    ("--k", f"count must be below 2**64, got {2**64}"),
+], ids=["--p", "--k"])
+def test_sweep_names_a_hash_shape_past_64_bits(capsys, flag, message):
+    value = str(2**64 + 1 if flag == "--p" else 2**64)
+    code, out, err = run_cli(capsys, "sweep", "--var", "n", "--range", "1:1",
+                             "--trials", "1", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"yesnobf: error: {message}"
+
+
 def test_readme_sweep_example_prints_its_csv(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n$ yesnobf sweep ", 1)[1].split("\n```", 1)[0]

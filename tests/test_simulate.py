@@ -5,11 +5,9 @@ import io
 import math
 import os
 import random
-import struct
 import subprocess
 import sys
 import types
-from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +21,13 @@ from yesnobf.bitcore import (
     MODE_DOUBLE,
     MODE_RANDOM,
     BloomFilter,
-    HashFamily,
-    _encoded_ids,
     derive_seed,
     element_to_bytes,
-    mask_rows,
 )
 from yesnobf.simulate import (
     CSV_HEADER,
     SweepConfig,
+    _encoded_ids,
     draw_elements,
     optimal_hash_count,
     sweep,
@@ -140,72 +136,6 @@ def test_zero_no_filters_trial_replays_as_classic_bloom():
         assert trial_outcome(params, 12, 80, trial_seed)[1].fp_count == expected
 
 
-class _KeepsDigests:
-    """A family's keyed hasher whose copies keep every digest they give."""
-
-    def __init__(self, hasher, kept):
-        self.hasher = hasher
-        self.kept = kept
-
-    def copy(self):
-        return _KeepsDigests(self.hasher.copy(), self.kept)
-
-    def update(self, data):
-        self.hasher.update(data)
-
-    def digest(self):
-        self.kept.append(self.hasher.digest())
-        return self.kept[-1]
-
-
-@settings(max_examples=150, deadline=None)
-@given(count=st.integers(0, 20), size=st.integers(1, 300),
-       mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       walks=st.lists(st.tuples(st.integers(0, 2**64 - 1),
-                                st.lists(reference.ids, max_size=15)),
-                      min_size=1, max_size=3, unique_by=lambda walk: walk[0]))
-# count 9 reads a second digest block and 20 a third; sizes above 256 need a
-# third byte index bit; size 1 makes every double-mode h2 % size 0
-@example(count=9, size=300, mode=MODE_RANDOM, walks=[(5, ["edge", 7, b"raw"])])
-@example(count=20, size=100, mode=MODE_RANDOM,
-         walks=[(5, ["edge", 7]), (6, []), (7, [b"raw", 8, "x"])])
-@example(count=20, size=257, mode=MODE_DOUBLE, walks=[(5, ["edge", 7, b"raw"])])
-@example(count=5, size=1, mode=MODE_DOUBLE, walks=[(0, [3, "x"])])
-@example(count=0, size=9, mode=MODE_DOUBLE, walks=[(0, [3, "x"]), (1, [4])])
-@example(count=4, size=100, mode=MODE_RANDOM, walks=[(0, [])])
-def test_numpy_reduction_is_encoded_masks(count, size, mode, walks):
-    datas = [[element_to_bytes(e) for e in batch] for _, batch in walks]
-    families, streams = [], []
-    for seed, _ in walks:
-        families.append(HashFamily(count, size, mode=mode, seed=seed))
-        streams.append([])
-        families[-1]._hasher = _KeepsDigests(families[-1]._hasher, streams[-1])
-    # one-shot iterators, as the sweep's no-part walks pass: a shape of
-    # several blocks must still digest each element's every block once
-    masks = mask_rows((fam, iter(d)) for fam, d in zip(families, datas))
-    want = []
-    per_element = 64 * -(-count // 8) if mode == MODE_RANDOM else 16 * (count > 0)
-    for (seed, _), d, stream in zip(walks, datas, streams):
-        fam = HashFamily(count, size, mode=mode, seed=seed)
-        own = []
-        fam._hasher = _KeepsDigests(fam._hasher, own)
-        want += map(fam.encoded_mask, d)
-        assert len(b"".join(stream)) == per_element * len(d)
-        assert sorted(stream) == sorted(own)
-    assert masks == want
-
-
-def test_numpy_reduction_steps_by_one_where_h2_divides_the_size():
-    fam = HashFamily(6, 12, mode=MODE_DOUBLE, seed=0)
-    datas = [element_to_bytes(i) for i in range(100)]
-    # h2 is the second half of the README's double-mode digest
-    key = struct.pack("<QQQB", 0, 6, 12, 1)
-    h2s = [int.from_bytes(blake2b(d, key=key, digest_size=16).digest()[8:],
-                          "little") for d in datas]
-    assert any(h2 % 12 == 0 for h2 in h2s)
-    assert mask_rows([(fam, datas)]) == [fam.encoded_mask(d) for d in datas]
-
-
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
 @example([0, 1, 2**63, 2**64 - 1])
 def test_encoded_ids_are_element_to_bytes(values):
@@ -266,12 +196,13 @@ def test_trial_kernel_holds_the_exact_mean_fp(p, q, r):
 
 
 def test_numpy_stays_out_of_filters_and_topology():
-    """Importing numpy costs ~12 MB, and statistics ~0.4 MB; only sweeps
-    may pay them."""
+    """Importing numpy costs ~12 MB, and statistics ~0.4 MB; of everything
+    the library runs, only sweep may pay them, for a point's statistics."""
     script = """
 import sys
 import yesnobf
 import yesnobf.cli  # imports simulate, as every subcommand does
+from yesnobf import simulate
 from yesnobf.corpus import default_corpus
 from yesnobf.topology import PathExperiment, run_topology_experiment
 name, graph = default_corpus()[0]
@@ -283,9 +214,17 @@ filt.classify(range(10), range(10, 60))
 bf = yesnobf.BloomFilter(64, 3, seed=1)
 bf.insert("x")
 assert bf.contains("x")
-loaded = sorted(m for m in sys.modules
-                if m.split(".")[0] in ("numpy", "statistics"))
-assert not loaded, loaded
+for mode in (yesnobf.MODE_RANDOM, yesnobf.MODE_DOUBLE):
+    simulate.trial_outcome(params, 10, 50, 3, mode)
+    seeds = range(simulate._CHUNK_TRIALS + 2)
+    assert len(list(simulate._trial_outcomes(params, 10, 50, seeds, mode))) == len(seeds)
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "statistics"))
+
+assert not loaded(), loaded()
+simulate.sweep(simulate.SweepConfig("r_fixed_m", 0, 1, trials=2))
+assert "numpy" in loaded() and "statistics" in loaded(), loaded()
 """
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)

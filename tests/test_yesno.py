@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yesnobf import bitcore, simulate
+from yesnobf import simulate
 from yesnobf.bitcore import (
     _TABLE_SIZE,
     MODE_DOUBLE,
@@ -690,22 +690,20 @@ def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
        n=st.integers(0, 30), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1,
                                             max_size=4),
        mode=st.sampled_from([MODE_RANDOM, MODE_DOUBLE]),
-       reducer=st.sampled_from([bitcore.mask_rows, bitcore.walk_masks]),
        yes_masks=st.none() | st.lists(st.integers(0, 2**64 - 1) | st.just(2**64 - 1),
                                       min_size=4, max_size=4))
 @example(geometry=(40, 8, 0, 3, 1), elements=list(range(20)), n=5, seeds=[1, 2],
-         mode=MODE_RANDOM, reducer=bitcore.mask_rows, yes_masks=None)
+         mode=MODE_RANDOM, yes_masks=None)
 @example(geometry=(13, 4, 2, 3, 1), elements=list(range(20)), n=0, seeds=[1, 2],
-         mode=MODE_DOUBLE, reducer=bitcore.walk_masks, yes_masks=None)
+         mode=MODE_DOUBLE, yes_masks=None)
 @example(geometry=(13, 4, 2, 3, 1), elements=list(range(5)), n=5, seeds=[1, 2],
-         mode=MODE_RANDOM, reducer=bitcore.mask_rows, yes_masks=None)
+         mode=MODE_RANDOM, yes_masks=None)
 @example(geometry=(13, 4, 2, 3, 1), elements=[], n=0, seeds=[1, 2],
-         mode=MODE_RANDOM, reducer=bitcore.walk_masks, yes_masks=None)
+         mode=MODE_RANDOM, yes_masks=None)
 @example(geometry=(13, 4, 2, 3, 1), elements=list(range(20)), n=5, seeds=[1, 2, 3],
-         mode=MODE_DOUBLE, reducer=bitcore.mask_rows,
-         yes_masks=[0, 2**13 - 1, 0b1011011011011, 0])
+         mode=MODE_DOUBLE, yes_masks=[0, 2**13 - 1, 0b1011011011011, 0])
 def test_a_batch_sketches_each_trial_as_a_one_trial_call(
-        geometry, elements, n, seeds, mode, reducer, yes_masks):
+        geometry, elements, n, seeds, mode, yes_masks):
     """Trial i of a batch holds the sketches a one-trial call gives it:
     every yes part, and the no part only with r > 0 and inside the trial's
     yes mask, given or else the OR of its members' yes parts."""
@@ -717,10 +715,10 @@ def test_a_batch_sketches_each_trial_as_a_one_trial_call(
     trials = [datas[i:] + datas[:i] for i in range(len(seeds))]
     sketchers = [Sketcher(params, seed, mode) for seed in seeds]
     masks = yes_masks and yes_masks[:len(seeds)]
-    batch = list(_sketch_trials(sketchers, trials, n, reducer, masks))
+    batch = _sketch_trials(sketchers, trials, n, masks)
     assert len(batch) == len(seeds)
     for i, (sk, trial, ids) in enumerate(zip(sketchers, trials, trial_elements)):
-        [alone] = _sketch_trials([sk], [trial], n, reducer, masks and [masks[i]])
+        [alone] = _sketch_trials([sk], [trial], n, masks and [masks[i]])
         assert batch[i] == alone
         yes_parts = [reference.element_mask(params.k, params.p, sk.seed, e, mode)
                      for e in ids]
@@ -739,22 +737,14 @@ def test_a_batch_sketches_each_trial_as_a_one_trial_call(
 def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
                                                                 monkeypatch):
     """Each walk's elements pass exactly once through a list reader,
-    bitcore.mask_rows, HashFamily.encoded_masks or count_within, or through
-    a one-element reader, HashFamily.encoded_mask or encoded_within, so a
-    walk that reads the keyed hasher some other way, or through two
-    readers, fails here."""
+    HashFamily.encoded_masks or count_within, or through a one-element
+    reader, HashFamily.encoded_mask or encoded_within, so a walk that reads
+    the keyed hasher some other way, or through two readers, fails here."""
     seen = []
-    read_rows = bitcore.mask_rows
     read_list = HashFamily.encoded_masks
     test_list = HashFamily.count_within
     read_one = HashFamily.encoded_mask
     test_one = HashFamily.encoded_within
-
-    def recording_rows(walks):
-        walks = [(family, list(datas)) for family, datas in walks]
-        for family, datas in walks:
-            seen.extend((family.count, family.range_size, d) for d in datas)
-        return read_rows(walks)
 
     def recording_list(family, datas):
         datas = list(datas)
@@ -774,8 +764,6 @@ def test_every_walk_reads_the_hasher_through_one_of_two_readers(mode,
         seen.append((family.count, family.range_size, data))
         return test_one(family, data, mask)
 
-    for module in (bitcore, simulate):
-        monkeypatch.setattr(module, "mask_rows", recording_rows)
     monkeypatch.setattr(HashFamily, "encoded_masks", recording_list)
     monkeypatch.setattr(HashFamily, "count_within", recording_count)
     monkeypatch.setattr(HashFamily, "encoded_mask", recording_one)
