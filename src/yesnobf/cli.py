@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import analysis, corpus, simulate, topology
-from .bitcore import MODE_DOUBLE, MODE_RANDOM
-from .yesno import YesNoFilter, YesNoParams
+from .bitcore import MODE_DOUBLE, MODE_RANDOM, HashFamily
+from .yesno import Sketcher, YesNoFilter, YesNoParams
 
 _HASH_MODES = {"random": MODE_RANDOM, "double": MODE_DOUBLE}
 
@@ -128,6 +128,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_topology(args) -> int:
     params = YesNoParams.of(args.p, args.q, args.r, args.k, args.k_prime)
+    # a hash shape the key cannot hold is the flags' fault, not a file's:
+    # its ValueError leaves before any file is read
+    Sketcher(params)
+    HashFamily(args.k_bf, params.m)
     fmt = None if args.format == "auto" else args.format
     path_override = args.path.split(",") if args.path else None
     results = []

@@ -8,9 +8,8 @@ baselines: one of the same total length m, one the size of the yes-filter
 alone.
 
 Trials are independent; trial i of point j draws its PRNG stream from
-(seed, j, i), so results do not depend on scheduling. Only sweep imports
-numpy, for a point's std_fp, so trials, building and querying filters,
-and topology experiments never load it.
+(seed, j, i), so results do not depend on scheduling. Everything here
+runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .yesno import (
     Sketcher,
     YesNoParams,
     _build_and_classify,
-    _sketch_trials,
+    _sketch,
 )
 
 # The names a sweep can vary: SweepConfig.swept and `sweep --var` take
@@ -42,12 +41,10 @@ SWEPT_CHOICES = ("k", "k_prime", "n", "q", "r_fixed_p", "r_fixed_m")
 CSV_HEADER = ("swept", "value", "mean_fp", "std_fp", "min", "q25", "median",
               "q75", "max", "baseline_bf_m", "baseline_bf_p")
 
-# Trials drawn, encoded and sketched in one pass. The pass holds its
-# trials' ids, encodings and sketches at once, ~30 KB a trial at the default
-# geometry (tracemalloc's peak over one pass), so this bounds a point's
-# memory whatever its trial count. Each pass pays _encoded_ids' set-up once:
-# one-trial passes cost 3-5% more a trial at r_fixed_m 0..6, and 64-trial
-# passes about as much.
+# Trials drawn and encoded in one pass. The pass holds its trials' ids and
+# encodings at once, so this bounds a point's memory whatever its trial
+# count. Each pass pays _encoded_ids' set-up once: one-trial passes cost
+# 3-5% more a trial at r_fixed_m 0..6, and 64-trial passes about as much.
 _CHUNK_TRIALS = 16
 
 
@@ -93,23 +90,21 @@ def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
     """Yield the (report, classification) of the trial at each seed, in
     order.
 
-    The trials pass in chunks of _CHUNK_TRIALS. Each trial draws its ids,
-    distinct by construction, so nothing re-checks them as
-    YesNoFilter.build does. yesno._sketch_trials sketches the chunk's
-    trials, one encoded_masks call per family and trial, and each trial
-    then builds and classifies through
-    yesno._build_and_classify, so the outcomes are those of
-    YesNoFilter.build, then classify, of the same two sets.
+    The trials pass in chunks of _CHUNK_TRIALS, so _encoded_ids encodes a
+    chunk's ids at once. Each trial draws its ids, distinct by
+    construction, so nothing re-checks them as YesNoFilter.build does;
+    yesno._sketch sketches them and yesno._build_and_classify builds and
+    classifies, so the outcomes are those of YesNoFilter.build, then
+    classify, of the same two sets.
     """
     trial_seeds = iter(trial_seeds)
     while seeds := list(islice(trial_seeds, _CHUNK_TRIALS)):
         drawn = [draw_elements(trial_seed, n, t) for trial_seed in seeds]
         encoded = iter(_encoded_ids([e for members, candidates in drawn
                                      for e in members + candidates]))
-        trials = [list(islice(encoded, n + t)) for _ in seeds]
-        sketchers = [Sketcher(params, trial_seed, mode) for trial_seed in seeds]
-        for sk, (members, candidates), sketches in zip(
-                sketchers, drawn, _sketch_trials(sketchers, trials, n)):
+        for trial_seed, (members, candidates) in zip(seeds, drawn):
+            sk = Sketcher(params, trial_seed, mode)
+            sketches = _sketch(sk, list(islice(encoded, n + t)), n)
             yield _build_and_classify(sk, members, candidates, sketches)
 
 
@@ -266,13 +261,10 @@ def _comparison_hashes(config: SweepConfig, params: YesNoParams, value: int,
 
 def sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep; geometry errors become per-point error entries."""
-    # numpy is confined to sweeps (std_fp here): importing it costs ~12 MB,
-    # which trials, building and querying filters, topology experiments
-    # included, never pay. statistics loads fractions and decimal, ~0.4 MB,
-    # so it waits here too.
+    # statistics loads fractions and decimal, ~0.4 MB, which trials,
+    # building and querying filters, topology experiments included, never
+    # pay, so it waits here
     import statistics
-
-    import numpy as np
 
     points = []
     for index, value in enumerate(config.values()):
@@ -293,12 +285,16 @@ def sweep(config: SweepConfig) -> SweepResult:
         # count is every quartile, where quantiles would raise
         quartiles = (statistics.quantiles(counts, n=4, method="inclusive")
                      if config.trials > 1 else counts * 3)
+        # the sample variance from exact integer sums: one correctly rounded
+        # division and one correctly rounded sqrt, the same on every Python
+        trials, total = config.trials, sum(counts)
+        spread = trials * sum(c * c for c in counts) - total * total
         k_m = _comparison_hashes(config, params, value, n)
         points.append(SweepPoint(
             swept=config.swept,
             value=value,
-            mean_fp=sum(counts) / config.trials,
-            std_fp=float(np.std(counts, ddof=1)) if config.trials > 1 else 0.0,
+            mean_fp=total / trials,
+            std_fp=math.sqrt(spread / (trials * (trials - 1))) if trials > 1 else 0.0,
             min_fp=float(min(counts)),
             q25=float(quartiles[0]),
             median=float(quartiles[1]),

@@ -8,7 +8,7 @@ leaking onto a link it was never meant for; the yes-no filter exists to make
 that rare exactly on the links where it matters.
 
 Graphs are undirected on disk (edge-list or GraphML); links are directed,
-one per traversal direction. Nothing here imports numpy.
+one per traversal direction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
 from operator import or_
 from pathlib import Path
 
@@ -30,17 +29,12 @@ from .yesno import (
     YesNoParams,
     _build_and_classify,
     _check_disjoint_sets,
-    _sketch_trials,
+    _sketch,
 )
 
 DEFAULT_PARAMS = YesNoParams.of(p=192, q=32, r=2, k=4, k_prime=3)
 DEFAULT_K_BF = 6
 DEFAULT_ALLOCATIONS = 1000
-
-# Allocations sketched in one pass. One pass per allocation cost topology
-# runs 2-4% of their throughput; 16 spreads the pass's set-up as the
-# sweep's passes of trials do, holding only 16 allocations' sketches.
-_CHUNK_ALLOCATIONS = 16
 
 
 class Graph:
@@ -359,11 +353,10 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     allocations; each allocation's stream comes from (seed, name, index).
 
     The ids and their encodings are the ones the experiment made when it
-    was built. The allocations pass in chunks of _CHUNK_ALLOCATIONS:
-    yesno._sketch_trials sketches a chunk, one encoded_masks call per
-    family and allocation, and each allocation then builds and
-    classifies through yesno._build_and_classify, so its yes-no count is
-    that of YesNoFilter.build, then classify. Its classic count is that of
+    was built. Each allocation is sketched by yesno._sketch, one
+    encoded_masks call per family, then built and classified through
+    yesno._build_and_classify, so its yes-no count is that of
+    YesNoFilter.build, then classify. Its classic count is that of
     a BloomFilter(m, k_bf) under the same seed and mode holding S, asked
     about T: one encoded_masks call lays S down and one count_within call
     reads T.
@@ -373,16 +366,13 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     s_datas, t_datas = datas[:len(s_ids)], datas[len(s_ids):]
     yn_counts = []
     bf_counts = []
-    indexes = iter(range(experiment.allocations))
-    while chunk := list(islice(indexes, _CHUNK_ALLOCATIONS)):
-        sketchers = [Sketcher(params, derive_seed(seed, experiment.name, index), mode)
-                     for index in chunk]
-        for sk, sketches in zip(sketchers, _sketch_trials(
-                sketchers, [datas] * len(chunk), len(s_ids))):
-            yn_counts.append(_build_and_classify(sk, s_ids, t_ids, sketches)[1].fp_count)
-            family = HashFamily(experiment.k_bf, params.m, mode=mode, seed=sk.seed)
-            bf_mask = reduce(or_, family.encoded_masks(s_datas), 0)
-            bf_counts.append(family.count_within(t_datas, bf_mask))
+    for index in range(experiment.allocations):
+        sk = Sketcher(params, derive_seed(seed, experiment.name, index), mode)
+        sketches = _sketch(sk, datas, len(s_ids))
+        yn_counts.append(_build_and_classify(sk, s_ids, t_ids, sketches)[1].fp_count)
+        family = HashFamily(experiment.k_bf, params.m, mode=mode, seed=sk.seed)
+        bf_mask = reduce(or_, family.encoded_masks(s_datas), 0)
+        bf_counts.append(family.count_within(t_datas, bf_mask))
     fp_yesno_mean = sum(yn_counts) / experiment.allocations
     fp_bf_mean = sum(bf_counts) / experiment.allocations
     ratio = fp_yesno_mean / fp_bf_mean if fp_bf_mean > 0 else None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, repeat
+from itertools import compress
 from operator import or_
 
 from .bitcore import _MODES, MODE_RANDOM, HashFamily, element_to_bytes
@@ -98,31 +98,27 @@ class Sketcher:
                 self.no_family.encoded_mask(data))
 
 
-def _sketch_trials(sketchers, trials, n: int, yes_masks=None
-                   ) -> list[list[ElementSketch]]:
-    """Each trial's sketches as a query reads them, for a batch of trials:
-    one Sketcher per trial, and each trial's element_to_bytes encodings
-    as a list, its n members first.
+def _sketch(sketcher: Sketcher, datas, n: int, yes_mask: int | None = None
+            ) -> list[ElementSketch]:
+    """The sketches of one trial's elements as a query reads them: datas
+    holds their element_to_bytes encodings as a list, the n members first.
 
-    A trial's yes family walks its every element in one encoded_masks
-    call, and its no family the elements a query reads in a second. This
-    is the one no-part rule: an element's no part is hashed only with
-    r > 0 no-filters, and only where its yes part lies inside the trial's
-    yes mask, its yes_masks entry if given (classify passes the filter's
-    yes_filter), else the OR of its members' yes parts, the mask a build
-    lays down. No query reads the no part of a yes-stage negative, so it
-    is None there, and everywhere when r is 0.
+    The yes family walks every element in one encoded_masks call, and the
+    no family the elements a query reads in a second. This is the one
+    no-part rule: an element's no part is hashed only with r > 0
+    no-filters, and only where its yes part lies inside yes_mask if given
+    (classify passes the filter's yes_filter), else inside the OR of the
+    members' yes parts, the mask a build lays down. No query reads the no
+    part of a yes-stage negative, so it is None there, and everywhere when
+    r is 0.
     """
-    out = []
-    for sk, datas, mask in zip(sketchers, trials, yes_masks or repeat(None)):
-        parts = sk.yes_family.encoded_masks(datas)
-        if mask is None:
-            mask = reduce(or_, parts[:n], 0)
-        hits = [y & mask == y for y in parts] if sk.params.r else [False] * len(parts)
-        no_parts = iter(sk.no_family.encoded_masks(compress(datas, hits)))
-        out.append([(y, next(no_parts) if hit else None)
-                    for y, hit in zip(parts, hits)])
-    return out
+    parts = sketcher.yes_family.encoded_masks(datas)
+    if yes_mask is None:
+        yes_mask = reduce(or_, parts[:n], 0)
+    hits = ([y & yes_mask == y for y in parts] if sketcher.params.r
+            else [False] * len(parts))
+    no_parts = iter(sketcher.no_family.encoded_masks(compress(datas, hits)))
+    return [(y, next(no_parts) if hit else None) for y, hit in zip(parts, hits)]
 
 
 def _build_and_classify(sketcher: Sketcher, members, candidates, sketches
@@ -256,7 +252,7 @@ class YesNoFilter:
         sk = Sketcher(params, seed, mode)
         n = len(member_list)
         datas = list(map(element_to_bytes, member_list + candidate_list))
-        [sketches] = _sketch_trials([sk], [datas], n)
+        sketches = _sketch(sk, datas, n)
         built, report = cls.build_from_sketches(
             params, sketches[:n], sketches[n:], seed=seed, mode=mode)
         built._sketcher = sk
@@ -427,7 +423,7 @@ class YesNoFilter:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
         n = len(member_list)
         datas = list(map(element_to_bytes, member_list + candidate_list))
-        [sketches] = _sketch_trials([sk], [datas], n, [self.yes_filter])
+        sketches = _sketch(sk, datas, n, self.yes_filter)
         return self.classify_sketches(list(zip(member_list, sketches)),
                                       list(zip(candidate_list, sketches[n:])))
 

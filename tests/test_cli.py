@@ -399,6 +399,22 @@ def test_sweep_names_a_hash_shape_past_64_bits(capsys, flag, message):
     assert err.splitlines()[-1] == f"yesnobf: error: {message}"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--p", str(2**64 + 1)], f"range_size must be below 2**64, got {2**64 + 1}"),
+    (["--k-bf", str(2**64 + 1)], f"count must be below 2**64, got {2**64 + 1}"),
+    # m = p + q*r = 2**64 with each flag below it
+    (["--p", str(2**63), "--q", str(2**62), "--r", "2"],
+     f"range_size must be below 2**64, got {2**64}"),
+], ids=["--p", "--k-bf", "m"])
+def test_topology_names_a_hash_shape_past_64_bits_as_a_usage_error(
+        capsys, tmp_path, flags, message):
+    ring_file, _ = _write_toy_graphs(tmp_path)
+    code, out, err = run_cli(capsys, *_topology_args(ring_file), *flags)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"yesnobf: error: {message}"]
+
+
 def test_readme_sweep_example_prints_its_csv(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n$ yesnobf sweep ", 1)[1].split("\n```", 1)[0]

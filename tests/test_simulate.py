@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -195,9 +196,10 @@ def test_trial_kernel_holds_the_exact_mean_fp(p, q, r):
         assert abs(mean - exact) <= 3 * std / math.sqrt(trials), (mean, exact)
 
 
-def test_numpy_stays_out_of_filters_and_topology():
-    """Importing numpy costs ~12 MB, and statistics ~0.4 MB; of everything
-    the library runs, only sweep may pay them, for a point's statistics."""
+def test_numpy_never_loads_and_statistics_waits_for_sweep():
+    """Importing numpy costs ~12 MB, and statistics ~0.4 MB: nothing the
+    library runs, sweep included, loads numpy, and only sweep loads
+    statistics, for a point's quartiles."""
     script = """
 import sys
 import yesnobf
@@ -224,7 +226,7 @@ def loaded():
 
 assert not loaded(), loaded()
 simulate.sweep(simulate.SweepConfig("r_fixed_m", 0, 1, trials=2))
-assert "numpy" in loaded() and "statistics" in loaded(), loaded()
+assert loaded() == ["statistics"], loaded()
 """
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -318,7 +320,11 @@ def test_point_statistics_are_numpys(trials, seed, guard):
             float(q) for q in np.quantile(counts, (0.25, 0.5, 0.75))]
         assert [pt.mean_fp, pt.min_fp, pt.max_fp] == [
             float(np.mean(counts)), float(np.min(counts)), float(np.max(counts))]
-        assert pt.std_fp == (float(np.std(counts, ddof=1)) if trials > 1 else 0.0)
+        # the sample deviation from its definition, the mean exact
+        mean = Fraction(int(counts.sum()), trials)
+        variance = (sum((Fraction(int(c)) - mean) ** 2 for c in counts) / (trials - 1)
+                    if trials > 1 else 0)
+        assert pt.std_fp == math.sqrt(float(variance))
 
 
 def test_k_sweep_baseline_follows_swept_value():

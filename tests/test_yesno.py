@@ -22,7 +22,7 @@ from yesnobf.yesno import (
     Sketcher,
     YesNoFilter,
     YesNoParams,
-    _sketch_trials,
+    _sketch,
 )
 
 import reference
@@ -704,22 +704,19 @@ def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
          mode=MODE_DOUBLE, yes_masks=[0, 2**13 - 1, 0b1011011011011, 0])
 def test_a_batch_sketches_each_trial_as_a_one_trial_call(
         geometry, elements, n, seeds, mode, yes_masks):
-    """Trial i of a batch holds the sketches a one-trial call gives it:
-    every yes part, and the no part only with r > 0 and inside the trial's
-    yes mask, given or else the OR of its members' yes parts."""
+    """Each trial's _sketch call holds every yes part, and the no part only
+    with r > 0 and inside the trial's yes mask, given or else the OR of
+    its members' yes parts."""
     params = YesNoParams.of(*geometry)
     n = min(n, len(elements))
     datas = [element_to_bytes(e) for e in elements]
     # each trial takes another member set, rotated from the same elements
     trial_elements = [elements[i:] + elements[:i] for i in range(len(seeds))]
     trials = [datas[i:] + datas[:i] for i in range(len(seeds))]
-    sketchers = [Sketcher(params, seed, mode) for seed in seeds]
     masks = yes_masks and yes_masks[:len(seeds)]
-    batch = _sketch_trials(sketchers, trials, n, masks)
-    assert len(batch) == len(seeds)
-    for i, (sk, trial, ids) in enumerate(zip(sketchers, trials, trial_elements)):
-        [alone] = _sketch_trials([sk], [trial], n, masks and [masks[i]])
-        assert batch[i] == alone
+    for i, (seed, trial, ids) in enumerate(zip(seeds, trials, trial_elements)):
+        sk = Sketcher(params, seed, mode)
+        sketches = _sketch(sk, trial, n, masks and masks[i])
         yes_parts = [reference.element_mask(params.k, params.p, sk.seed, e, mode)
                      for e in ids]
         yes_mask = 0
@@ -727,7 +724,7 @@ def test_a_batch_sketches_each_trial_as_a_one_trial_call(
             yes_mask |= y
         if masks:
             yes_mask = masks[i]
-        assert batch[i] == [
+        assert sketches == [
             (y, reference.element_mask(params.k_prime, params.q, sk.seed, e, mode)
              if params.r and y & yes_mask == y else None)
             for e, y in zip(ids, yes_parts)]
