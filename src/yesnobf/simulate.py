@@ -8,8 +8,10 @@ baselines: one of the same total length m, one the size of the yes-filter
 alone.
 
 Trials are independent; trial i of point j draws its PRNG stream from
-(seed, j, i), so results do not depend on scheduling. Everything here
-runs on the standard library alone.
+(seed, j, i), so results do not depend on scheduling. A sweep runs each
+trial as one trial_outcome call, which draws the trial's ids and hands
+them to yesno._trial to sketch, build and classify. Everything here runs
+on the standard library alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
 from .bitcore import _MODES, MODE_RANDOM, derive_seed
@@ -30,8 +31,7 @@ from .yesno import (
     ConstructionReport,
     Sketcher,
     YesNoParams,
-    _build_and_classify,
-    _sketch,
+    _trial,
 )
 
 # The names a sweep can vary: SweepConfig.swept and `sweep --var` take
@@ -40,12 +40,6 @@ SWEPT_CHOICES = ("k", "k_prime", "n", "q", "r_fixed_p", "r_fixed_m")
 
 CSV_HEADER = ("swept", "value", "mean_fp", "std_fp", "min", "q25", "median",
               "q75", "max", "baseline_bf_m", "baseline_bf_p")
-
-# Trials drawn and encoded in one pass. The pass holds its trials' ids and
-# encodings at once, so this bounds a point's memory whatever its trial
-# count. Each pass pays _encoded_ids' set-up once: one-trial passes cost
-# 3-5% more a trial at r_fixed_m 0..6, and 64-trial passes about as much.
-_CHUNK_TRIALS = 16
 
 
 def draw_elements(trial_seed: int, n: int, t: int) -> tuple[list[int], list[int]]:
@@ -68,8 +62,8 @@ def draw_elements(trial_seed: int, n: int, t: int) -> tuple[list[int], list[int]
 
 @lru_cache(maxsize=4)
 def _unpack_records(count: int):
-    """Splits count 9-byte records into a tuple of bytes; a chunk's count
-    is the same for each full chunk of a point, so it is made once."""
+    """Splits count 9-byte records into a tuple of bytes; every trial of
+    a point encodes the same count, so it is made once a point."""
     return struct.Struct("9s" * count).unpack
 
 
@@ -85,35 +79,20 @@ def _encoded_ids(ids) -> list[bytes]:
     return list(_unpack_records(count)(records))
 
 
-def _trial_outcomes(params: YesNoParams, n: int, t: int, trial_seeds,
-                    mode: str):
-    """Yield the (report, classification) of the trial at each seed, in
-    order.
-
-    The trials pass in chunks of _CHUNK_TRIALS, so _encoded_ids encodes a
-    chunk's ids at once. Each trial draws its ids, distinct by
-    construction, so nothing re-checks them as YesNoFilter.build does;
-    yesno._sketch sketches them and yesno._build_and_classify builds and
-    classifies, so the outcomes are those of YesNoFilter.build, then
-    classify, of the same two sets.
-    """
-    trial_seeds = iter(trial_seeds)
-    while seeds := list(islice(trial_seeds, _CHUNK_TRIALS)):
-        drawn = [draw_elements(trial_seed, n, t) for trial_seed in seeds]
-        encoded = iter(_encoded_ids([e for members, candidates in drawn
-                                     for e in members + candidates]))
-        for trial_seed, (members, candidates) in zip(seeds, drawn):
-            sk = Sketcher(params, trial_seed, mode)
-            sketches = _sketch(sk, list(islice(encoded, n + t)), n)
-            yield _build_and_classify(sk, members, candidates, sketches)
-
-
 def trial_outcome(params: YesNoParams, n: int, t: int, trial_seed: int,
                   mode: str = MODE_RANDOM
                   ) -> tuple[ConstructionReport, Classification]:
-    """One randomized build, fully classified: a one-trial run of the
-    batched pass a sweep point makes."""
-    return next(_trial_outcomes(params, n, t, (trial_seed,), mode))
+    """One randomized build, fully classified: the trial a sweep runs at
+    trial_seed.
+
+    The trial draws its ids, distinct by construction, so nothing
+    re-checks them as YesNoFilter.build does; yesno._trial sketches,
+    builds and classifies them, so the outcome is that of
+    YesNoFilter.build, then classify, of the same two sets.
+    """
+    members, candidates = draw_elements(trial_seed, n, t)
+    return _trial(Sketcher(params, trial_seed, mode), members, candidates,
+                  _encoded_ids(members + candidates))
 
 
 @dataclass(frozen=True)
@@ -275,9 +254,10 @@ def sweep(config: SweepConfig) -> SweepResult:
             continue
         counts = []
         fn_total = 0
-        seeds = (derive_seed(config.seed, index, trial)
-                 for trial in range(config.trials))
-        for _, outcome in _trial_outcomes(params, n, config.t, seeds, config.mode):
+        for trial in range(config.trials):
+            _, outcome = trial_outcome(params, n, config.t,
+                                       derive_seed(config.seed, index, trial),
+                                       config.mode)
             counts.append(outcome.fp_count)
             fn_total += len(outcome.false_negatives)
         # of integer counts, np.quantile's linear rule and the inclusive

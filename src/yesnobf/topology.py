@@ -27,9 +27,8 @@ from .bitcore import MODE_RANDOM, HashFamily, derive_seed, element_to_bytes
 from .yesno import (
     Sketcher,
     YesNoParams,
-    _build_and_classify,
     _check_disjoint_sets,
-    _sketch,
+    _trial,
 )
 
 DEFAULT_PARAMS = YesNoParams.of(p=192, q=32, r=2, k=4, k_prime=3)
@@ -353,9 +352,8 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     allocations; each allocation's stream comes from (seed, name, index).
 
     The ids and their encodings are the ones the experiment made when it
-    was built. Each allocation is sketched by yesno._sketch, one
-    encoded_masks call per family, then built and classified through
-    yesno._build_and_classify, so its yes-no count is that of
+    was built. Each allocation is one yesno._trial call, which sketches,
+    builds and classifies it, so its yes-no count is that of
     YesNoFilter.build, then classify. Its classic count is that of
     a BloomFilter(m, k_bf) under the same seed and mode holding S, asked
     about T: one encoded_masks call lays S down and one count_within call
@@ -368,8 +366,7 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     bf_counts = []
     for index in range(experiment.allocations):
         sk = Sketcher(params, derive_seed(seed, experiment.name, index), mode)
-        sketches = _sketch(sk, datas, len(s_ids))
-        yn_counts.append(_build_and_classify(sk, s_ids, t_ids, sketches)[1].fp_count)
+        yn_counts.append(_trial(sk, s_ids, t_ids, datas)[1].fp_count)
         family = HashFamily(experiment.k_bf, params.m, mode=mode, seed=sk.seed)
         bf_mask = reduce(or_, family.encoded_masks(s_datas), 0)
         bf_counts.append(family.count_within(t_datas, bf_mask))

@@ -121,18 +121,22 @@ def _sketch(sketcher: Sketcher, datas, n: int, yes_mask: int | None = None
     return [(y, next(no_parts) if hit else None) for y, hit in zip(parts, hits)]
 
 
-def _build_and_classify(sketcher: Sketcher, members, candidates, sketches
-                        ) -> tuple[ConstructionReport, Classification]:
-    """One trial's (report, Classification): YesNoFilter.build_from_sketches
-    over its sketches, the members' first, then classify_sketches of the
-    same elements, as YesNoFilter.build, then classify, would give.
+def _trial(sketcher: Sketcher, members, candidates, datas
+           ) -> tuple[ConstructionReport, Classification]:
+    """One trial's (report, Classification): _sketch of datas, the
+    element_to_bytes encodings of members, then candidates, then
+    YesNoFilter.build_from_sketches over those sketches and
+    classify_sketches of the same elements, as YesNoFilter.build, then
+    classify, would give.
 
     Both methods are looked up through the class at each call, and the
     build is classified before this returns, so a wrapper on either sees
-    every build, then its classification. The sweep's trials and the
+    every build, then its classification. This is the one place a trial
+    is sketched, built and classified: the sweep's trials and the
     topology experiments' allocations all run through here.
     """
     n = len(members)
+    sketches = _sketch(sketcher, datas, n)
     member_sketches, candidate_sketches = sketches[:n], sketches[n:]
     built, report = YesNoFilter.build_from_sketches(
         sketcher.params, member_sketches, candidate_sketches,

@@ -702,7 +702,7 @@ def test_no_family_walks_only_what_a_query_reads(r, monkeypatch):
          mode=MODE_RANDOM, yes_masks=None)
 @example(geometry=(13, 4, 2, 3, 1), elements=list(range(20)), n=5, seeds=[1, 2, 3],
          mode=MODE_DOUBLE, yes_masks=[0, 2**13 - 1, 0b1011011011011, 0])
-def test_a_batch_sketches_each_trial_as_a_one_trial_call(
+def test_sketch_hashes_a_no_part_only_where_a_query_reads_it(
         geometry, elements, n, seeds, mode, yes_masks):
     """Each trial's _sketch call holds every yes part, and the no part only
     with r > 0 and inside the trial's yes mask, given or else the OR of
