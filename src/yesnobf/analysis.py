@@ -22,11 +22,11 @@ class FilterShape:
     elements: int
 
     def __post_init__(self):
-        if self.bits < 1:
+        if not self.bits >= 1:  # NaN too
             raise ValueError(f"bits must be positive, got {self.bits}")
-        if self.hashes < 1:
+        if not self.hashes >= 1:
             raise ValueError(f"hashes must be positive, got {self.hashes}")
-        if self.elements < 0:
+        if not self.elements >= 0:
             raise ValueError(f"elements must be >= 0, got {self.elements}")
 
 
@@ -123,7 +123,7 @@ def f_E_single_no_filter(p: int, q: int, k: int, k_prime: int, n: int,
 
 def expected_fp_count(t_size: int, f_p: float) -> float:
     """Expected number of false positives among t_size queried non-members."""
-    if t_size < 0:
+    if not t_size >= 0:  # NaN too
         raise ValueError(f"t_size must be >= 0, got {t_size}")
     _check_prob("f_p", f_p)
     return t_size * f_p

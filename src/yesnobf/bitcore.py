@@ -21,20 +21,32 @@ MODE_DOUBLE = "double-hashing"
 _MODES = (MODE_RANDOM, MODE_DOUBLE)
 
 
+# the record of an int id in [0, 2**64): the tag b"i", then 8 bytes
+# little-endian
+_pack_u64 = struct.Struct("<cQ").pack
+
+
 def element_to_bytes(element) -> bytes:
     """Canonical byte encoding of an element id (int, str, or bytes).
 
-    Type-tagged so e.g. the int 5 and the bytes b"5" never collide.
+    Type-tagged so e.g. the int 5 and the bytes b"5" never collide. An int
+    in [0, 2**64) is the 64-bit record _encode_u64s also writes; any other
+    int is b"I" + its decimal digits.
     """
     if isinstance(element, int):
         if 0 <= element <= MASK64:
-            return b"i" + element.to_bytes(8, "little")
+            return _pack_u64(b"i", element)
         return b"I" + str(element).encode("ascii")
     if isinstance(element, str):
         return b"s" + element.encode("utf-8")
     if isinstance(element, bytes):
         return b"b" + element
     raise TypeError(f"unsupported element type: {type(element).__name__}")
+
+
+def _encode_u64s(ids) -> list[bytes]:
+    """element_to_bytes of each int id in [0, 2**64), in order."""
+    return [_pack_u64(b"i", i) for i in ids]
 
 
 def derive_seed(*parts) -> int:

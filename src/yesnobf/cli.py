@@ -281,7 +281,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a number too large is usage too
         print(f"yesnobf: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -9,9 +9,10 @@ alone.
 
 Trials are independent; trial i of point j draws its PRNG stream from
 (seed, j, i), so results do not depend on scheduling. A sweep runs each
-trial as one trial_outcome call, which draws the trial's ids and hands
-them to yesno._trial to sketch, build and classify. Everything here runs
-on the standard library alone.
+trial as one trial_outcome call, which draws the trial's ids, encodes
+them through bitcore's one 64-bit record and hands them to yesno._trial
+to sketch, build and classify. Everything here runs on the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .analysis import FilterShape, expected_fp_count, fp_prob_exact
-from .bitcore import _MODES, MODE_RANDOM, derive_seed
+from .bitcore import _MODES, MODE_RANDOM, _encode_u64s, derive_seed
 from .yesno import (
     Classification,
     ConstructionReport,
@@ -60,25 +60,6 @@ def draw_elements(trial_seed: int, n: int, t: int) -> tuple[list[int], list[int]
     return drawn[:n], drawn[n:]
 
 
-@lru_cache(maxsize=4)
-def _unpack_records(count: int):
-    """Splits count 9-byte records into a tuple of bytes; every trial of
-    a point encodes the same count, so it is made once a point."""
-    return struct.Struct("9s" * count).unpack
-
-
-def _encoded_ids(ids) -> list[bytes]:
-    """element_to_bytes of each 64-bit id: the tag b"i", then the id's 8
-    bytes little-endian, all laid into one buffer by strided slices."""
-    count = len(ids)
-    records = bytearray(9 * count)
-    records[::9] = b"i" * count
-    packed = struct.pack(f"<{count}Q", *ids)
-    for byte in range(8):
-        records[1 + byte::9] = packed[byte::8]
-    return list(_unpack_records(count)(records))
-
-
 def trial_outcome(params: YesNoParams, n: int, t: int, trial_seed: int,
                   mode: str = MODE_RANDOM
                   ) -> tuple[ConstructionReport, Classification]:
@@ -86,13 +67,14 @@ def trial_outcome(params: YesNoParams, n: int, t: int, trial_seed: int,
     trial_seed.
 
     The trial draws its ids, distinct by construction, so nothing
-    re-checks them as YesNoFilter.build does; yesno._trial sketches,
-    builds and classifies them, so the outcome is that of
-    YesNoFilter.build, then classify, of the same two sets.
+    re-checks them as YesNoFilter.build does. bitcore._encode_u64s gives
+    their element_to_bytes encodings, and yesno._trial sketches, builds
+    and classifies them, so the outcome is that of YesNoFilter.build, then
+    classify, of the same two sets.
     """
     members, candidates = draw_elements(trial_seed, n, t)
     return _trial(Sketcher(params, trial_seed, mode), members, candidates,
-                  _encoded_ids(members + candidates))
+                  _encode_u64s(members + candidates))
 
 
 @dataclass(frozen=True)

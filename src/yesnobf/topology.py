@@ -23,11 +23,11 @@ from functools import reduce
 from operator import or_
 from pathlib import Path
 
-from .bitcore import MODE_RANDOM, HashFamily, derive_seed, element_to_bytes
+from .bitcore import MODE_RANDOM, HashFamily, derive_seed
 from .yesno import (
     Sketcher,
     YesNoParams,
-    _check_disjoint_sets,
+    _encoded_sets,
     _trial,
 )
 
@@ -293,9 +293,9 @@ class PathExperiment:
     id: "x"->"y->z" and "x->y"->"z" are both x->y->z.
 
     The link ids, S's then T's, and their element_to_bytes encodings are
-    made once, here, beside the disjointness check, and every
-    run_topology_experiment call reuses them; being derived from the
-    links, they take no part in == or repr.
+    made once, here, by the yesno._encoded_sets call that checks the link
+    sets, and every run_topology_experiment call reuses them; being
+    derived from the links, they take no part in == or repr.
     """
 
     name: str
@@ -313,10 +313,8 @@ class PathExperiment:
         if self.k_bf < 1:
             raise ValueError(f"k_bf must be >= 1, got {self.k_bf}")
         # ids, not links: "x"->"y->z" and "x->y"->"z" share the id x->y->z
-        s_ids, t_ids = _check_disjoint_sets([link.id for link in self.s_links],
-                                            [link.id for link in self.t_links])
-        object.__setattr__(self, "_encoded", (
-            s_ids, t_ids, [element_to_bytes(e) for e in s_ids + t_ids]))
+        object.__setattr__(self, "_encoded", _encoded_sets(
+            [link.id for link in self.s_links], [link.id for link in self.t_links]))
 
     @classmethod
     def from_graph(cls, name: str, graph: Graph, path=None,
@@ -351,13 +349,13 @@ def run_topology_experiment(experiment: PathExperiment, seed: int = 0,
     """Average both structures' false positives over fresh random
     allocations; each allocation's stream comes from (seed, name, index).
 
-    The ids and their encodings are the ones the experiment made when it
-    was built. Each allocation is one yesno._trial call, which sketches,
-    builds and classifies it, so its yes-no count is that of
-    YesNoFilter.build, then classify. Its classic count is that of
-    a BloomFilter(m, k_bf) under the same seed and mode holding S, asked
-    about T: one encoded_masks call lays S down and one count_within call
-    reads T.
+    The ids and their encodings are the ones the experiment's set check
+    made when it was built, so a run encodes and checks nothing. Each
+    allocation is one yesno._trial call, which sketches, builds and
+    classifies it, so its yes-no count is that of YesNoFilter.build, then
+    classify. Its classic count is that of a BloomFilter(m, k_bf) under
+    the same seed and mode holding S, asked about T: one encoded_masks
+    call lays S down and one count_within call reads T.
     """
     params = experiment.params
     s_ids, t_ids, datas = experiment._encoded

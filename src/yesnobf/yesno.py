@@ -197,7 +197,9 @@ class Classification:
         return len(self.no_stage_rejections) + len(self.residual_false_positives)
 
 
-def _check_disjoint_sets(members, candidates):
+def _encoded_sets(members, candidates):
+    """(members, candidates, datas) as lists, datas holding element_to_bytes
+    of each member, then each candidate; ValueError on a repeat or overlap."""
     member_list = list(members)
     candidate_list = list(candidates)
     member_set = set(member_list)
@@ -210,7 +212,8 @@ def _check_disjoint_sets(members, candidates):
     if overlap:
         sample = next(iter(overlap))
         raise ValueError(f"member and queryable sets overlap (e.g. {sample!r})")
-    return member_list, candidate_list
+    return (member_list, candidate_list,
+            list(map(element_to_bytes, member_list + candidate_list)))
 
 
 class YesNoFilter:
@@ -252,10 +255,9 @@ class YesNoFilter:
         disjoint; candidate order fixes the order in which false positives
         compete for no-filter space (first come, first placed).
         """
-        member_list, candidate_list = _check_disjoint_sets(members, candidates)
+        member_list, _, datas = _encoded_sets(members, candidates)
         sk = Sketcher(params, seed, mode)
         n = len(member_list)
-        datas = list(map(element_to_bytes, member_list + candidate_list))
         sketches = _sketch(sk, datas, n)
         built, report = cls.build_from_sketches(
             params, sketches[:n], sketches[n:], seed=seed, mode=mode)
@@ -421,12 +423,11 @@ class YesNoFilter:
         residual_false_positives — the last being the queries the structure
         still gets wrong.
         """
-        member_list, candidate_list = _check_disjoint_sets(members, candidates)
+        member_list, candidate_list, datas = _encoded_sets(members, candidates)
         sk = self._sketcher
         if sk is None:
             sk = self._sketcher = Sketcher(self.params, self.seed, self.mode)
         n = len(member_list)
-        datas = list(map(element_to_bytes, member_list + candidate_list))
         sketches = _sketch(sk, datas, n, self.yes_filter)
         return self.classify_sketches(list(zip(member_list, sketches)),
                                       list(zip(candidate_list, sketches[n:])))

@@ -25,6 +25,19 @@ ids = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12),
                 st.binary(max_size=12))
 
 
+def encode(element) -> bytes:
+    """The README's encoding: b"i" + 8 bytes little-endian for an int in
+    [0, 2**64), b"I" + decimal digits for any other int, b"s" + UTF-8 for
+    a str, b"b" + the bytes themselves."""
+    if isinstance(element, bytes):
+        return b"b" + element
+    if isinstance(element, str):
+        return b"s" + element.encode("utf-8")
+    if 0 <= element < 2**64:
+        return b"i" + element.to_bytes(8, "little")
+    return b"I" + str(element).encode("ascii")
+
+
 def positions(count, size, seed, element, mode=MODE_RANDOM) -> list[int]:
     """The count positions in [0, size) of an element, in hash order.
 
@@ -34,14 +47,7 @@ def positions(count, size, seed, element, mode=MODE_RANDOM) -> list[int]:
     16-byte digest of the encoding holds h1 and h2, and position i is
     (h1 % size + i * (h2 % size or 1)) % size.
     """
-    if isinstance(element, bytes):
-        data = b"b" + element
-    elif isinstance(element, str):
-        data = b"s" + element.encode("utf-8")
-    elif 0 <= element < 2**64:
-        data = b"i" + element.to_bytes(8, "little")
-    else:
-        data = b"I" + str(element).encode("ascii")
+    data = encode(element)
     if mode == MODE_DOUBLE:
         if not count:
             return []

@@ -33,6 +33,21 @@ def test_shape_validation():
         FilterShape(8, 2, -1)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FilterShape(NAN, 6, 30),
+    lambda: FilterShape(256, NAN, 30),
+    lambda: FilterShape(256, 6, NAN),
+    lambda: f_E_single_no_filter(160, 32, 4, 5, 30, no_filter_load=NAN),
+    lambda: expected_fp_count(NAN, 0.1),
+], ids=["bits", "hashes", "elements", "no_filter_load", "t_size"])
+def test_nan_is_refused(make):
+    with pytest.raises(ValueError, match="nan"):
+        make()
+
+
 def test_small_shape_against_rational_arithmetic():
     # every factor of (1 - 1/8)^2 and its complement is a dyadic rational,
     # so the float results are exact and comparable with ==

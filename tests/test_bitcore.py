@@ -14,6 +14,7 @@ from yesnobf.bitcore import (
     MODE_RANDOM,
     BloomFilter,
     HashFamily,
+    _encode_u64s,
     _shape,
     derive_seed,
     element_to_bytes,
@@ -33,6 +34,20 @@ def test_element_to_bytes_separates_types():
     assert element_to_bytes(2**70) != element_to_bytes(2**70 + 1)
     with pytest.raises(TypeError):
         element_to_bytes(3.5)
+
+
+@given(reference.ids)
+@example(2**64 - 1)
+@example(2**64)
+@example(-1)
+def test_element_to_bytes_is_the_readme_encoding(element):
+    assert element_to_bytes(element) == reference.encode(element)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+@example([0, 2**63, 2**64 - 1])
+def test_bulk_encoding_is_the_readme_encoding(ids):
+    assert _encode_u64s(ids) == [reference.encode(i) for i in ids]
 
 
 def test_derive_seed_is_stable_and_sensitive():

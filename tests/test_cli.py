@@ -8,9 +8,12 @@ import io
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from yesnobf.analysis import FilterShape, expected_fp_count, fp_prob_exact
 from yesnobf.cli import _HASH_MODES, build_parser, main
@@ -413,6 +416,119 @@ def test_topology_names_a_hash_shape_past_64_bits_as_a_usage_error(
     assert code == 1
     assert out == ""
     assert err.splitlines() == [f"yesnobf: error: {message}"]
+
+
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["analyze", flag, HUGE] for flag in ("--m", "--k", "--n", "--t", "--q",
+                                           "--k-prime", "--no-filter-load")),
+    ["sweep", "--var", "n", "--range", "1:1", "--trials", "1", "--t", str(10**30)],
+    ["sweep", "--var", "n", "--range", f"{HUGE}:{HUGE}", "--trials", "1"],
+], ids=lambda argv: " ".join(a if len(a) < 20 else f"<{len(a)} chars>"
+                             for a in argv))
+def test_a_number_too_large_to_compute_with_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("yesnobf: error: ")
+
+
+# Exit codes over edge values of every numeric flag. Hash counts stay at
+# most 64 and filter lengths and counts at most 2**16, so no example
+# compiles huge readers or allocates huge masks; trials and allocations
+# stay at most 2.
+EDGES = (-1, 0, 1, 2, 2**64 - 1, 2**64 + 1, 10**400)
+
+
+def _edge(cap=None):
+    values = EDGES if cap is None else [v for v in EDGES if v <= cap] + [cap]
+    return st.sampled_from(values).map(str)
+
+
+@st.composite
+def _flags(draw, **strategies):
+    """argv pieces: up to three of the flags, each given its drawn value,
+    so that a good share of examples run to the end."""
+    chosen = draw(st.lists(st.sampled_from(sorted(strategies)), max_size=3,
+                           unique=True))
+    return [a for flag in chosen for a in (flag, draw(strategies[flag]))]
+
+
+_HASHES, _LENGTHS = _edge(64), _edge(2**16)
+_PRIORS = st.sampled_from(["-1", "0", "0.5", "1", "2", "nan", "inf"])
+_GEOMETRY = {"--p": _LENGTHS, "--q": _LENGTHS, "--r": _LENGTHS,
+             "--k": _HASHES, "--k-prime": _HASHES}
+_SWEPT_CAPS = {"k": 64, "k_prime": 64, "n": None, "q": 2**16,
+               "r_fixed_p": 2**16, "r_fixed_m": 2**16}
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+_property = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_property
+@given(_flags(**{"--m": _edge(), "--k": _edge(), "--n": _edge(), "--t": _edge(),
+                 "--p": _edge(), "--q": _edge(), "--r": _edge(),
+                 "--k-prime": _edge(), "--no-filter-load": _edge(),
+                 "--pr-s": _PRIORS, "--pr-r": _PRIORS}))
+@example(["--m", HUGE])
+def test_analyze_exits_zero_or_one(flags):
+    assert _exit_code(["analyze", *flags])[0] in (0, 1)
+
+
+@st.composite
+def _sweeps(draw):
+    var = draw(st.sampled_from(SWEPT_CHOICES))
+    value = draw(_edge(_SWEPT_CAPS[var]))
+    flags = draw(_flags(**_GEOMETRY, **{
+        "--seed": _edge(), "--n": _edge(), "--t": _edge(), "--k-bf": _HASHES,
+        "--hash-mode": st.sampled_from(sorted(_HASH_MODES))}))
+    guard = draw(st.sampled_from([[], ["--allow-false-negatives"]]))
+    return ["--var", var, "--range", f"{value}:{value}",
+            "--trials", draw(_edge(2)), *flags, *guard]
+
+
+@_property
+@given(_sweeps())
+@example(["--var", "n", "--range", "1:1", "--trials", "1", "--t", str(10**30)])
+@example(["--var", "n", "--range", f"{HUGE}:{HUGE}", "--trials", "1"])
+def test_sweep_exits_zero_or_one(argv):
+    assert _exit_code(["sweep", *argv])[0] in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def tiny_graph_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("graphs") / "tiny.edgelist"
+    write_edgelist(Graph(edges=[("a", "b"), ("b", "c"), ("c", "d"), ("b", "x")]), path)
+    return str(path)
+
+
+@_property
+@given(allocations=_edge(2), exclude_reverse=st.booleans(),
+       flags=_flags(**_GEOMETRY, **{"--seed": _edge(), "--k-bf": _HASHES}))
+def test_topology_exits_two_only_naming_a_file(tiny_graph_file, allocations,
+                                               exclude_reverse, flags):
+    code, err = _exit_code(["topology", tiny_graph_file, "--allocations", allocations,
+                            *flags, *["--exclude-reverse"] * exclude_reverse])
+    assert code != 2 or tiny_graph_file in err
+
+
+@_property
+@given(_edge())
+def test_demo_exits_zero_at_any_seed(seed):
+    assert _exit_code(["demo", "--seed", seed])[0] == 0
 
 
 def test_readme_sweep_example_prints_its_csv(capsys):

@@ -23,12 +23,10 @@ from yesnobf.bitcore import (
     MODE_RANDOM,
     BloomFilter,
     derive_seed,
-    element_to_bytes,
 )
 from yesnobf.simulate import (
     CSV_HEADER,
     SweepConfig,
-    _encoded_ids,
     draw_elements,
     optimal_hash_count,
     sweep,
@@ -135,12 +133,6 @@ def test_zero_no_filters_trial_replays_as_classic_bloom():
             reference.insert(e)
         expected = sum(reference.contains(e) for e in candidates)
         assert trial_outcome(params, 12, 80, trial_seed)[1].fp_count == expected
-
-
-@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
-@example([0, 1, 2**63, 2**64 - 1])
-def test_encoded_ids_are_element_to_bytes(values):
-    assert _encoded_ids(values) == [element_to_bytes(e) for e in values]
 
 
 # (p, q, r, k, k'): k' may be 0 only without no-filters

@@ -375,7 +375,7 @@ def test_link_ids_are_encoded_once_per_run(monkeypatch):
     link_ids = {link.id for link in exp.s_links + exp.t_links}
     assert {e: encoded[e] for e in link_ids} == dict.fromkeys(link_ids, 1)
     for module in (yesno, topology):
-        monkeypatch.setattr(module, "_check_disjoint_sets", no_check)
+        monkeypatch.setattr(module, "_encoded_sets", no_check)
     for _ in range(2):
         encoded.clear()
         run_topology_experiment(exp, seed=1)
